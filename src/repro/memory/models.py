@@ -24,8 +24,7 @@ from .predicates import PredicateSink
 CommitFn = Callable[[int, int, int, int], None]
 
 #: Shared empty list for the no-pending-stores fast path (allocation-free
-#: common case).  Callers treat ``pending_addrs``/``pending_tids`` results
-#: as read-only.
+#: common case).  Callers treat ``pending_addrs`` results as read-only.
 _EMPTY_LIST: List[int] = []
 
 
@@ -45,6 +44,10 @@ class StoreBufferModel:
         #: incrementally by write/flush so schedulers do not rescan every
         #: thread's buffers at each decision point.
         self._pending_tids: set = set()
+        #: ``pending_tids`` result, rebuilt on the next call after the
+        #: set above gains or loses a thread (None = stale).  A change
+        #: replaces the list, never mutates it.
+        self._pending_list: Optional[List[int]] = None
 
     def attach(self, commit: CommitFn,
                sink: Optional[PredicateSink] = None) -> None:
@@ -87,10 +90,10 @@ class StoreBufferModel:
         raise NotImplementedError
 
     def pending_tids(self) -> List[int]:
-        """Threads with buffered stores, ascending (incremental set)."""
-        if not self._pending_tids:
-            return _EMPTY_LIST
-        return sorted(self._pending_tids)
+        """Threads with buffered stores, ascending (cached; read-only)."""
+        if self._pending_list is None:
+            self._pending_list = sorted(self._pending_tids)
+        return self._pending_list
 
     def head_addr(self, tid: int) -> Optional[int]:
         """Address the next ``flush_one(tid)`` would commit (None if no
@@ -129,6 +132,7 @@ class StoreBufferModel:
         self.depth_hwm = state[0]
         self._depths = dict(state[1])
         self._buffers_restore(state[2])
+        self._pending_list = None
 
     def _buffers_snapshot(self):
         return None
@@ -144,9 +148,12 @@ class StoreBufferModel:
 
     # -- helpers -------------------------------------------------------
 
-    def _reset_depths(self) -> None:
+    def _reset_tracking(self) -> None:
+        """Forget depths and pending threads (buffers were discarded)."""
         self.depth_hwm = 0
         self._depths.clear()
+        self._pending_tids.clear()
+        self._pending_list = None
 
     def _note_push(self, tid: int) -> None:
         """A store entered the thread's buffer: bump the depth HWM and
@@ -155,7 +162,9 @@ class StoreBufferModel:
         the broken-model oracle tests do — keep it consistent for free."""
         depth = self._depths.get(tid, 0) + 1
         self._depths[tid] = depth
-        self._pending_tids.add(tid)
+        if depth == 1:
+            self._pending_tids.add(tid)
+            self._pending_list = None
         if depth > self.depth_hwm:
             self.depth_hwm = depth
 
@@ -164,6 +173,7 @@ class StoreBufferModel:
         self._depths[tid] = depth
         if depth <= 0:
             self._pending_tids.discard(tid)
+            self._pending_list = None
 
     def _do_commit(self, tid: int, addr: int, value: int, label: int) -> None:
         if self._commit is None:
@@ -296,8 +306,7 @@ class TSOModel(StoreBufferModel):
 
     def reset(self):
         self._buffers.clear()
-        self._pending_tids.clear()
-        self._reset_depths()
+        self._reset_tracking()
 
     def _buffers_snapshot(self):
         return {tid: tuple(buf)
@@ -428,8 +437,7 @@ class PSOModel(StoreBufferModel):
 
     def reset(self):
         self._buffers.clear()
-        self._pending_tids.clear()
-        self._reset_depths()
+        self._reset_tracking()
 
     def _buffers_snapshot(self):
         return {tid: {addr: tuple(entries)

@@ -2,7 +2,7 @@
 
 The paper's key exploration device is the *flush-delaying demonic
 scheduler* (:class:`FlushDelayScheduler`): it randomly interleaves threads
-and, whenever the selected thread has buffered stores, flushes with a
+and, whenever some thread has buffered stores, flushes one of them with a
 user-supplied *flush probability* — low probabilities keep stores buffered
 long and expose relaxed behaviours, high probabilities approach SC.
 """

@@ -2,10 +2,13 @@
 
 At each scheduling point:
 
-* an enabled thread is selected uniformly at random;
-* if the selected thread has buffered stores, the scheduler flushes one of
-  them with probability ``flush_prob`` (for PSO, choosing a random
-  per-variable buffer), otherwise the thread executes its next instruction;
+* if some thread has buffered stores — running, blocked in join, or
+  already finished — the scheduler flushes with probability
+  ``flush_prob`` (always, when no thread is enabled): it picks one of
+  those threads uniformly at random and commits the oldest store of its
+  buffer (TSO) or of a uniformly chosen per-variable buffer (PSO);
+* otherwise an enabled thread is selected uniformly at random and
+  executes its next instruction;
 * partial-order reduction: once selected, a thread keeps running while its
   next instruction only touches thread-local state (registers / control
   flow), since such steps commute with every other thread.
@@ -18,7 +21,6 @@ The paper's tuned defaults are ~0.1 for TSO and ~0.5 for PSO.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..vm.interp import VM
 from .base import Scheduler
@@ -33,7 +35,7 @@ class FlushDelayScheduler(Scheduler):
 
     Args:
         seed: RNG seed (every execution is reproducible from its seed).
-        flush_prob: probability of flushing (vs stepping) when the selected
+        flush_prob: probability of flushing (vs stepping) when some
             thread has pending buffered stores.
         por: enable the local-access partial-order reduction.
     """
@@ -50,52 +52,74 @@ class FlushDelayScheduler(Scheduler):
         self.trace = trace
 
     def run(self, vm: VM) -> None:
-        rng = self.rng
+        # One flat decision loop.  The bounded draws inline CPython's
+        # ``randrange(n)`` (``Random._randbelow_with_getrandbits``), so
+        # the RNG stream — and with it every seed, witness and fence set
+        # — is the one ``randrange`` would produce.
+        getrandbits = self.rng.getrandbits
+        coin = self.rng.random
+        flush_prob = self.flush_prob
+        por = self.por
+        trace = self.trace
+        model = vm.model
+        pso = model.name == "pso"
+        enabled_tids = vm.enabled_tids
+        pending_tids = model.pending_tids
+        pending_addrs = model.pending_addrs
+        flush_one = model.flush_one
+        step = vm.step
+        run_local = vm.run_local
         while True:
-            enabled = vm.enabled_tids()
+            enabled = enabled_tids()
             # Flushing is a memory-system action: any thread's buffers may
             # flush, including threads blocked in join or already finished
             # (otherwise a blocked producer could starve a spinning
             # consumer forever).
-            pending = vm.tids_with_pending()
+            pending = pending_tids()
+            if pending and (not enabled or coin() < flush_prob):
+                n = len(pending)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                tid = pending[r]
+                # PSO: pick a random per-variable buffer; TSO flushes the
+                # head of its single FIFO.  A pending thread always has a
+                # buffered store, so the flush always commits one.
+                if pso:
+                    addrs = pending_addrs(tid)
+                    n = len(addrs)
+                    k = n.bit_length()
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    addr = addrs[r]
+                else:
+                    addr = None
+                if flush_one(tid, addr) and trace is not None:
+                    trace.append(("flush", tid, addr))
+                continue
             if not enabled:
-                if pending:
-                    self._flush_step(vm, pending[rng.randrange(len(pending))])
-                    continue
                 self._check_deadlock(vm)
                 self._finish(vm)
                 return
-            if pending and rng.random() < self.flush_prob:
-                self._flush_step(vm, pending[rng.randrange(len(pending))])
-                continue
-            tid = enabled[rng.randrange(len(enabled))] \
-                if len(enabled) > 1 else enabled[0]
-            self._step(vm, tid)
-            if self.por:
-                self._run_local(vm, tid)
-
-    def _step(self, vm: VM, tid: int) -> None:
-        if self.trace is not None:
-            self.trace.append(("step", tid))
-        vm.step(tid)
-
-    def _flush_step(self, vm: VM, tid: int) -> None:
-        addrs = vm.model.pending_addrs(tid)
-        if not addrs:
-            return
-        # PSO: pick a random per-variable buffer; TSO: pending_addrs lists
-        # the FIFO queue, whose head is the only flushable entry.
-        if vm.model.name == "pso":
-            addr: Optional[int] = addrs[self.rng.randrange(len(addrs))]
-        else:
-            addr = None
-        if vm.flush_one(tid, addr) and self.trace is not None:
-            self.trace.append(("flush", tid, addr))
-
-    def _run_local(self, vm: VM, tid: int) -> None:
-        # The burst is budget-counted in underlying instructions on both
-        # VM backends (the compiled VM executes it as superinstructions),
-        # so schedules — and therefore RNG draws — are backend-independent.
-        executed = vm.run_local(tid, MAX_LOCAL_RUN)
-        if executed and self.trace is not None:
-            self.trace.extend(("step", tid) for _ in range(executed))
+            n = len(enabled)
+            if n > 1:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                tid = enabled[r]
+            else:
+                tid = enabled[0]
+            if trace is not None:
+                trace.append(("step", tid))
+            # ``step`` reports whether the next instruction is local, so
+            # a burst that would execute nothing is never started.  The
+            # burst is budget-counted in underlying instructions on both
+            # VM backends, so schedules — and RNG draws — are
+            # backend-independent.
+            if step(tid) and por:
+                executed = run_local(tid, MAX_LOCAL_RUN)
+                if trace is not None:
+                    trace.extend(("step", tid) for _ in range(executed))

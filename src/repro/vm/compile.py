@@ -70,6 +70,9 @@ Closure = Callable[["CompiledVM", Thread, Frame], None]
 #: Pure register-op classes eligible for superinstruction fusion.
 _FUSABLE = frozenset((ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp))
 
+_FINISHED = ThreadStatus.FINISHED
+_BLOCKED_JOIN = ThreadStatus.BLOCKED_JOIN
+
 
 # ----------------------------------------------------------------------
 # Backend selection (the --no-compile escape hatch)
@@ -732,10 +735,15 @@ class CompiledVM(VM):
             code = self._fn_code[fn.name] = code_for(fn)
         return code
 
-    def step(self, tid: int) -> None:
-        """Execute exactly one instruction of thread *tid* (compiled)."""
+    def step(self, tid: int) -> bool:
+        """Execute exactly one instruction of thread *tid* (compiled).
+
+        Returns whether the thread's next instruction is local, as
+        :meth:`VM.step` does, read from the compiled ``local`` flags.
+        """
         thread = self.threads[tid]
-        if thread.status is ThreadStatus.FINISHED:
+        status = thread.status
+        if status is _FINISHED:
             raise InterpreterError("stepping finished thread %d" % tid)
 
         self.steps += 1
@@ -744,18 +752,30 @@ class CompiledVM(VM):
                 "execution exceeded %d steps" % self.max_steps)
         self.seq += 1
 
-        if thread.status is ThreadStatus.BLOCKED_JOIN:
+        if status is _BLOCKED_JOIN:
             self._complete_join(thread)
-            return
-
-        frame = thread.top
-        code = frame.handlers
-        if code is None:
-            code = frame.handlers = self._code_for(frame.fn)
-        ip = frame.ip
-        if self.coverage is not None:
-            self.coverage.add(code.label_of[ip])
-        code.singles[ip](self, thread, frame)
+            frame = None
+        else:
+            frame = thread.frames[-1]
+            code = frame.handlers
+            if code is None:
+                code = frame.handlers = self._code_for(frame.fn)
+            ip = frame.ip
+            if self.coverage is not None:
+                self.coverage.add(code.label_of[ip])
+            code.singles[ip](self, thread, frame)
+        # A finished thread has no frames left; one that just blocked in
+        # join still sits on its join, which is not local.
+        frames = thread.frames
+        if not frames:
+            return False
+        top = frames[-1]
+        if top is not frame:
+            # A call, return or join completion moved the thread.
+            code = top.handlers
+            if code is None:
+                code = top.handlers = self._code_for(top.fn)
+        return code.local[top.ip]
 
     def run_local(self, tid: int, budget: int,
                   with_assert: bool = False) -> int:
@@ -770,7 +790,7 @@ class CompiledVM(VM):
         thread = self.threads[tid]
         if thread.status is not ThreadStatus.RUNNABLE or not thread.frames:
             return 0
-        frame = thread.top
+        frame = thread.frames[-1]
         code = frame.handlers
         if code is None:
             code = frame.handlers = self._code_for(frame.fn)

@@ -96,13 +96,23 @@ class SharedMemory:
 
     def check(self, addr: int, what: str, tid: Optional[int] = None,
               label: Optional[int] = None) -> None:
-        """Raise :class:`MemorySafetyViolation` if ``addr`` is invalid."""
-        if not self.is_valid(addr):
-            kind = "NULL dereference" if addr < NULL_GUARD else "out-of-bounds/freed access"
-            raise MemorySafetyViolation(
-                "%s: %s at address %d (label L%s, thread %s)"
-                % (kind, what, addr, label, tid),
-                tid=tid, label=label)
+        """Raise :class:`MemorySafetyViolation` if ``addr`` is invalid.
+
+        The :meth:`is_valid` test is inlined: every load, CAS and flush
+        comes through here.
+        """
+        if addr >= NULL_GUARD:
+            bases = self._region_bases
+            pos = bisect.bisect_right(bases, addr) - 1
+            if pos >= 0:
+                base = bases[pos]
+                if addr < base + self._region_sizes[base]:
+                    return
+        kind = "NULL dereference" if addr < NULL_GUARD else "out-of-bounds/freed access"
+        raise MemorySafetyViolation(
+            "%s: %s at address %d (label L%s, thread %s)"
+            % (kind, what, addr, label, tid),
+            tid=tid, label=label)
 
     # ------------------------------------------------------------------
     # Access (validity already checked by callers where required)

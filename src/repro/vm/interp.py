@@ -109,6 +109,10 @@ class VM:
         #: every thread's status per call.
         self._runnable: set = set()
         self._blocked_join: Dict[int, int] = {}
+        #: ``enabled_tids`` result, rebuilt on the next call after any
+        #: change to the sets above (None = stale).  A change replaces
+        #: the list, never mutates it, so callers may hold on to one.
+        self._enabled: Optional[List[int]] = None
         self._spawn(entry, [int(a) for a in entry_args])
 
     # ------------------------------------------------------------------
@@ -129,23 +133,28 @@ class VM:
         thread.frames.append(frame)
         self.threads[tid] = thread
         self._runnable.add(tid)
+        self._enabled = None
         return tid
 
     def enabled_tids(self) -> List[int]:
         """Threads that can take a step right now, ascending by tid.
 
         A thread blocked on join becomes enabled once its target finishes
-        (the join step itself then drains the target's buffers).
+        (the join step itself then drains the target's buffers).  The
+        list is cached until the scheduling sets change; treat it as
+        read-only.
         """
-        if not self._blocked_join:
-            return sorted(self._runnable)
-        enabled = list(self._runnable)
-        threads = self.threads
-        for tid, target_tid in self._blocked_join.items():
-            target = threads.get(target_tid)
-            if target is not None and target.finished:
-                enabled.append(tid)
-        enabled.sort()
+        enabled = self._enabled
+        if enabled is None:
+            enabled = sorted(self._runnable)
+            if self._blocked_join:
+                threads = self.threads
+                for tid, target_tid in self._blocked_join.items():
+                    target = threads.get(target_tid)
+                    if target is not None and target.finished:
+                        enabled.append(tid)
+                enabled.sort()
+            self._enabled = enabled
         return enabled
 
     def all_finished(self) -> bool:
@@ -219,6 +228,7 @@ class VM:
                 blocked[tid] = thread.join_target
         self._runnable = runnable
         self._blocked_join = blocked
+        self._enabled = None
 
     # ------------------------------------------------------------------
     # Memory plumbing
@@ -251,15 +261,17 @@ class VM:
             return self.memory.global_addr[operand.name]
         raise InterpreterError("bad operand %r" % (operand,))
 
-    def _addr(self, operand, frame: Frame) -> int:
-        """Evaluate an address operand (Sym resolves to global base)."""
-        return self._value(operand, frame)
-
     # ------------------------------------------------------------------
     # Stepping
 
-    def step(self, tid: int) -> None:
-        """Execute one instruction of thread *tid*."""
+    def step(self, tid: int) -> bool:
+        """Execute one instruction of thread *tid*.
+
+        Returns True when the thread can still step and its next
+        instruction is thread-local (:data:`LOCAL_OPS`), i.e. when a
+        partial-order-reduction burst (:meth:`run_local`) would execute
+        anything; schedulers skip the burst otherwise.
+        """
         thread = self.threads[tid]
         if thread.status is ThreadStatus.FINISHED:
             raise InterpreterError("stepping finished thread %d" % tid)
@@ -272,17 +284,18 @@ class VM:
 
         if thread.status is ThreadStatus.BLOCKED_JOIN:
             self._complete_join(thread)
-            return
-
-        frame = thread.top
-        handlers = frame.handlers
-        if handlers is None:
-            handlers = frame.handlers = self._handlers_for(frame.fn)
-        ip = frame.ip
-        instr = frame.fn.body[ip]
-        if self.coverage is not None:
-            self.coverage.add(instr.label)
-        handlers[ip](self, thread, frame, instr)
+        else:
+            frame = thread.top
+            handlers = frame.handlers
+            if handlers is None:
+                handlers = frame.handlers = self._handlers_for(frame.fn)
+            ip = frame.ip
+            instr = frame.fn.body[ip]
+            if self.coverage is not None:
+                self.coverage.add(instr.label)
+            handlers[ip](self, thread, frame, instr)
+        nxt = self.peek(tid)
+        return nxt is not None and nxt.__class__ in LOCAL_OPS
 
     def run_local(self, tid: int, budget: int,
                   with_assert: bool = False) -> int:
@@ -323,6 +336,7 @@ class VM:
         thread.join_target = None
         self._blocked_join.pop(thread.tid, None)
         self._runnable.add(thread.tid)
+        self._enabled = None
         thread.top.ip += 1
 
     # ------------------------------------------------------------------
@@ -343,13 +357,6 @@ class VM:
                 raise InterpreterError("unknown instruction %r" % (bad,))
             self._fn_handlers[fn.name] = handlers
         return handlers
-
-    def _dispatch(self, thread: Thread, frame: Frame, instr: ins.Instr) -> None:
-        """Execute one decoded instruction (table-driven)."""
-        handler = _DISPATCH.get(instr.__class__)
-        if handler is None:
-            raise InterpreterError("unknown instruction %r" % (instr,))
-        handler(self, thread, frame, instr)
 
     def _exec_const(self, thread, frame, instr) -> None:
         frame.regs[instr.dst.name] = instr.value
@@ -372,7 +379,7 @@ class VM:
 
     def _exec_load(self, thread, frame, instr) -> None:
         tid = thread.tid
-        addr = self._addr(instr.addr, frame)
+        addr = self._value(instr.addr, frame)
         self.memory.check(addr, "load", tid, instr.label)
         hit, value = self.model.read(tid, addr, instr.label)
         if not hit:
@@ -381,14 +388,14 @@ class VM:
         frame.ip += 1
 
     def _exec_store(self, thread, frame, instr) -> None:
-        addr = self._addr(instr.addr, frame)
+        addr = self._value(instr.addr, frame)
         value = self._value(instr.src, frame)
         self.model.write(thread.tid, addr, value, instr.label)
         frame.ip += 1
 
     def _exec_cas(self, thread, frame, instr) -> None:
         tid = thread.tid
-        addr = self._addr(instr.addr, frame)
+        addr = self._value(instr.addr, frame)
         expected = self._value(instr.expected, frame)
         new = self._value(instr.new, frame)
         self.model.pre_cas(tid, addr, instr.label)
@@ -436,6 +443,7 @@ class VM:
             thread.join_target = target_tid
             self._runnable.discard(thread.tid)
             self._blocked_join[thread.tid] = target_tid
+            self._enabled = None
 
     def _exec_selfid(self, thread, frame, instr) -> None:
         frame.regs[instr.dst.name] = thread.tid
@@ -481,18 +489,18 @@ class VM:
         if frame.op_record is not None:
             frame.op_record.result = value
             frame.op_record.ret_seq = self.seq
-        thread.frames.pop()
-        if not thread.frames:
+        frames = thread.frames
+        frames.pop()
+        if not frames:
             thread.status = ThreadStatus.FINISHED
             thread.result = value
             self._runnable.discard(thread.tid)
+            self._enabled = None
             return
-        caller = thread.top
-        call_instr = caller.fn.body[caller.ip]
+        caller = frames[-1]
         if frame.ret_dst is not None:
             caller.regs[frame.ret_dst.name] = value
         caller.ip += 1
-        del call_instr  # caller ip advanced past the call
 
 
 # ----------------------------------------------------------------------

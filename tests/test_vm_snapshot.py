@@ -5,12 +5,15 @@ restoring it (any number of times) must reproduce the exact behaviour of
 a fresh run replayed to the same point, under every memory model.
 """
 
+import random
+
 import pytest
 
 from repro.memory.models import make_model
 from repro.minic import compile_source
 from repro.vm.compile import CompiledVM, make_vm
-from repro.vm.interp import VM
+from repro.vm.interp import LOCAL_OPS, VM
+from repro.vm.state import ThreadStatus
 
 SB_SOURCE = """
 int X; int Y;
@@ -270,3 +273,96 @@ def test_snapshot_captures_buffered_stores(model):
     vm.restore(snap)
     assert vm.model.pending_addrs(0) == pending_before
     assert vm.tids_with_pending() == [0]
+
+
+# ----------------------------------------------------------------------
+# Cached scheduling lists: ``enabled_tids`` and ``tids_with_pending``
+# are cached and only rebuilt when a thread spawns, finishes, blocks in
+# or completes a join, or a store buffer fills or empties.  Random
+# schedules with snapshots, restores and model resets must keep them
+# equal to a from-scratch scan, and must never mutate a list handed out
+# earlier.  Along the way, ``step()``'s locality answer must match what
+# ``peek`` shows.
+
+FORK_JOIN_SOURCE = """
+int X; int Y; int Z;
+int leaf(int v) { X = v; int r = Y; Y = r + v; return r; }
+int waiter(int target) { Z = 1; join(target); return X + Z; }
+int mid() {
+  int t = fork(leaf, 2);
+  Y = 5;
+  join(t);
+  Z = Y;
+  return Z;
+}
+int main() {
+  int a = fork(mid);
+  int b = fork(leaf, 3);
+  int c = fork(waiter, b);
+  X = 7;
+  join(a);
+  join(c);
+  return X + Y;
+}
+"""
+
+
+def _scan_enabled(vm):
+    threads = vm.threads
+    return sorted(
+        tid for tid, t in threads.items()
+        if t.status is ThreadStatus.RUNNABLE
+        or (t.status is ThreadStatus.BLOCKED_JOIN
+            and threads[t.join_target].finished))
+
+
+def _scan_pending(vm):
+    return sorted(tid for tid in vm.threads if vm.model.has_pending(tid))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_cached_scheduling_lists_stay_coherent(compiled, model, seed):
+    rng = random.Random(seed)
+    module = compile_source(FORK_JOIN_SOURCE, "forkjoin")
+    vm = make_vm(module, make_model(model), compiled=compiled,
+                 max_steps=100_000)
+    start = vm.snapshot()
+    snaps = []
+    handed_out = []  # (list object, copy at the time it was returned)
+    seen = set()
+    for _ in range(600):
+        enabled = vm.enabled_tids()
+        pending = vm.tids_with_pending()
+        assert enabled == _scan_enabled(vm)
+        assert pending == _scan_pending(vm)
+        for lst, copy in handed_out:
+            assert lst == copy, "a returned list was mutated"
+        handed_out.append((enabled, list(enabled)))
+        handed_out.append((pending, list(pending)))
+        seen.update(t.status for t in vm.threads.values())
+
+        action = rng.random()
+        if action < 0.08:
+            snaps.append(vm.snapshot())
+        elif action < 0.14 and snaps:
+            vm.restore(rng.choice(snaps))
+        elif action < 0.16:
+            vm.model.reset()
+        elif pending and (action < 0.40 or not enabled):
+            vm.flush_one(rng.choice(pending))
+        elif enabled:
+            tid = rng.choice(enabled)
+            if action < 0.55:
+                vm.run_local(tid, 64)
+            else:
+                local = vm.step(tid)
+                nxt = vm.peek(tid)
+                assert local == (nxt is not None
+                                 and nxt.__class__ in LOCAL_OPS)
+        else:
+            vm.restore(start)  # run finished: start it over
+    assert ThreadStatus.BLOCKED_JOIN in seen
+    assert ThreadStatus.FINISHED in seen
