@@ -1,21 +1,30 @@
 """VM dispatch throughput — closure-compiled bodies vs the interpreter.
 
+The compiled side is the VM (:class:`repro.vm.interp.VM`); the
+interpreted side is the generic reference interpreter from
+``tests/reference_vm.py``, so run this with the repository root on
+``PYTHONPATH`` as well as ``src``::
+
+    cd benchmarks
+    PYTHONPATH=../src:.. python -m pytest -q test_vm_dispatch.py
+
 Two measurements, written to ``BENCH_vm.json`` at the repository root
 (and a readable table to ``benchmarks/results/vm_dispatch.txt``):
 
 * a steady-state microbenchmark: a register-arithmetic loop executed
   through ``run_local`` bursts — the scheduler hot path — reported as
-  steps/second per backend.  Acceptance: the compiled backend must
+  steps/second per backend.  Acceptance: the compiled VM must
   sustain at least 2x the interpreter's dispatch rate.
 * end-to-end fence synthesis on the Chase-Lev work-stealing deque (the
   paper's flagship workload), same config and seed on both backends.
-  The runs must synthesize byte-identical fences; the compiled backend
+  The runs must synthesize byte-identical fences; the compiled VM
   must show a wall-time improvement.
 
 Wall times are machine-dependent; the equivalence assertions are what
 make the speedups comparisons between identical computations.
 """
 
+import contextlib
 import json
 import os
 import platform
@@ -30,6 +39,7 @@ from repro.memory.models import make_model
 from repro.minic import compile_source
 from repro.synth import SynthesisConfig, SynthesisEngine
 from repro.vm.compile import make_vm
+from tests.reference_vm import reference_vms
 
 pytestmark = [pytest.mark.slow]
 
@@ -58,11 +68,16 @@ int main() {
 MICRO_REPS = 5
 
 
+def _backend(compiled):
+    """The VM when *compiled*, else the reference interpreter."""
+    return contextlib.nullcontext() if compiled else reference_vms()
+
+
 def _run_micro(compiled):
     """One full hot-loop execution; returns (steps, wall_s, result)."""
     module = compile_source(HOT_LOOP, "hot_loop")
-    vm = make_vm(module, make_model("sc"), compiled=compiled,
-                 max_steps=10_000_000)
+    with _backend(compiled):
+        vm = make_vm(module, make_model("sc"), max_steps=10_000_000)
     start = time.perf_counter()
     while True:
         enabled = vm.enabled_tids()
@@ -88,13 +103,13 @@ def _synthesize_wsq(compiled):
     bundle = ALGORITHMS["chase_lev"]
     config = SynthesisConfig(
         memory_model="pso", flush_prob=bundle.flush_prob["pso"],
-        executions_per_round=800, max_rounds=12, seed=7,
-        compiled=compiled)
+        executions_per_round=800, max_rounds=12, seed=7)
     engine = SynthesisEngine(config)
     start = time.perf_counter()
-    result = engine.synthesize(bundle.compile(), bundle.spec("sc"),
-                               entries=bundle.entries,
-                               operations=bundle.operations)
+    with _backend(compiled):
+        result = engine.synthesize(bundle.compile(), bundle.spec("sc"),
+                                   entries=bundle.entries,
+                                   operations=bundle.operations)
     return result, time.perf_counter() - start
 
 

@@ -143,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="N",
                         help="worker processes for --explore subtree "
                              "fan-out (default: serial; 0 = one per CPU)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run the audited generic interpreter instead "
-                             "of the closure-compiled VM (slower; results "
-                             "are identical)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and append "
                              "the top-20 cumulative entries to the report")
@@ -190,27 +186,9 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip delta-debugging failures (faster, "
                              "bigger reproducers)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run the audited generic interpreter instead "
-                             "of the closure-compiled VM (slower; results "
-                             "are identical)")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="per-seed progress on stderr")
     return parser
-
-
-def _select_interpreter() -> None:
-    """Make the generic interpreter the process-wide default backend.
-
-    Also exports ``REPRO_NO_COMPILE`` so multiprocess workers spawned
-    later (which re-read the environment default) follow suit.
-    """
-    import os
-
-    from .vm.compile import set_compiled_default
-
-    set_compiled_default(False)
-    os.environ["REPRO_NO_COMPILE"] = "1"
 
 
 def _profiled(fn, args) -> int:
@@ -234,8 +212,6 @@ def _fuzz(argv: List[str]) -> int:
     from .fuzz import OracleConfig, run_campaign
 
     args = build_fuzz_parser().parse_args(argv)
-    if args.no_compile:
-        _select_interpreter()
     oracle_kwargs = {}
     if args.models:
         oracle_kwargs["models"] = tuple(dict.fromkeys(args.models))
@@ -331,8 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "fuzz":
         return _fuzz(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.no_compile:
-        _select_interpreter()
     if args.profile:
         return _profiled(_run_command, args)
     return _run_command(args)
@@ -368,8 +342,7 @@ def _run_command(args) -> int:
         memory_model=args.model, flush_prob=flush_prob,
         executions_per_round=args.executions, max_rounds=args.rounds,
         seed=args.seed, workers=args.workers,
-        witness_limit=args.witness_limit,
-        compiled=False if args.no_compile else None)
+        witness_limit=args.witness_limit)
     recorder = _make_recorder(args)
     engine = SynthesisEngine(config, recorder=recorder)
 

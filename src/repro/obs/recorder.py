@@ -80,7 +80,7 @@ class NullRecorder:
     def vm_compile(self, stats: dict) -> None:
         """Fold the template compiler's counters for this process (a
         ``repro.vm.compile.COMPILE_STATS`` snapshot delta): bodies
-        compiled, superinstructions fused, cache hits, compile seconds.
+        compiled, instructions lowered, cache hits, compile seconds.
         Per-process — workers of a multiprocess pool compile in their own
         processes — so these land in the machine-dependent sections."""
 
@@ -203,7 +203,7 @@ class Recorder(NullRecorder):
     def vm_compile(self, stats: dict) -> None:
         m = self.metrics
         for key in ("functions", "recompiles", "instructions",
-                    "superinstructions", "fused_ops", "cache_hits"):
+                    "cache_hits"):
             m.inc_process("vm/compile/%s" % key, stats.get(key, 0))
         m.observe_timing("vm/compile/seconds", stats.get("seconds", 0.0))
 

@@ -57,8 +57,7 @@ def _run_subtree(payload):
 def run_parallel(module, model_factory, model_name, entry, outcome_fn,
                  outcome_globals, reduction, max_paths, max_steps,
                  count, stats, outcomes: Set[Tuple],
-                 violations: Set[str],
-                 compiled: Optional[bool] = None):
+                 violations: Set[str]):
     """Explore by fanning top-level subtrees across *count* processes.
 
     Mutates *stats*/*outcomes*/*violations* and returns an
@@ -97,15 +96,14 @@ def run_parallel(module, model_factory, model_name, entry, outcome_fn,
     tasks = _expand_frontier(
         module, parent_factory, entry, parent_outcome, max_steps,
         count * SUBTREES_PER_WORKER, MAX_SPLIT_DEPTH,
-        reduction != "none", front_stats, front_outcomes, front_violations,
-        compiled=compiled)
+        reduction != "none", front_stats, front_outcomes, front_violations)
     if len(tasks) <= 1:
         return None  # tree too small to split; serial recomputes it
 
     payloads = [
         (module, model_factory, model_name, entry, outcome_fn,
          tuple(outcome_globals), prefix, sleep_items, reduction,
-         max_paths, max_steps, compiled)
+         max_paths, max_steps)
         for prefix, sleep_items in tasks
     ]
     try:

@@ -82,8 +82,7 @@ def resolve_workers(workers: Optional[int]) -> int:
 def make_pool(workers: Optional[int], model_name: str,
               flush_prob: float, por: bool = True,
               max_steps: int = DEFAULT_MAX_STEPS,
-              chunk_size: Optional[int] = None,
-              compiled: Optional[bool] = None) -> ExecutionPool:
+              chunk_size: Optional[int] = None) -> ExecutionPool:
     """Build the execution backend selected by *workers*.
 
     ``None`` selects :class:`SerialPool`; ``0`` selects a
@@ -96,7 +95,6 @@ def make_pool(workers: Optional[int], model_name: str,
     count = resolve_workers(workers)
     if count == 0:
         return SerialPool(model_name, flush_prob, por=por,
-                          max_steps=max_steps, compiled=compiled)
+                          max_steps=max_steps)
     return ProcessPool(count, model_name, flush_prob, por=por,
-                       max_steps=max_steps, chunk_size=chunk_size,
-                       compiled=compiled)
+                       max_steps=max_steps, chunk_size=chunk_size)

@@ -47,7 +47,7 @@ _worker_state: dict = {}
 
 
 def _init_worker(model_name: str, flush_prob: float, por: bool,
-                 max_steps: int, compiled: Optional[bool] = None) -> None:
+                 max_steps: int) -> None:
     """Per-worker initializer: static config + reusable model and sink."""
     _worker_state.clear()
     _worker_state.update(
@@ -56,7 +56,6 @@ def _init_worker(model_name: str, flush_prob: float, por: bool,
         flush_prob=flush_prob,
         por=por,
         max_steps=max_steps,
-        compiled=compiled,
         version=None,
         module=None,
         spec=None,
@@ -78,8 +77,7 @@ def _run_batch(version: int, blob: bytes,
     return list(run_jobs(jobs, state["module"], state["spec"],
                          state["operations"], state["model"], state["sink"],
                          state["flush_prob"], state["por"],
-                         state["max_steps"], worker=state["worker"],
-                         compiled=state.get("compiled")))
+                         state["max_steps"], worker=state["worker"]))
 
 
 def _mp_context():
@@ -98,8 +96,7 @@ class ProcessPool(ExecutionPool):
 
     def __init__(self, workers: int, model_name: str, flush_prob: float,
                  por: bool = True, max_steps: int = DEFAULT_MAX_STEPS,
-                 chunk_size: Optional[int] = None,
-                 compiled: Optional[bool] = None) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError("ProcessPool needs at least one worker")
         self.workers = workers
@@ -108,7 +105,6 @@ class ProcessPool(ExecutionPool):
         self.por = por
         self.max_steps = max_steps
         self.chunk_size = chunk_size
-        self.compiled = compiled
         self._executor: Optional[ProcessPoolExecutor] = None
         self._version = 0
         self._blob: Optional[bytes] = None
@@ -122,7 +118,7 @@ class ProcessPool(ExecutionPool):
                 mp_context=_mp_context(),
                 initializer=_init_worker,
                 initargs=(self.model_name, self.flush_prob, self.por,
-                          self.max_steps, self.compiled))
+                          self.max_steps))
         return self._executor
 
     def close(self) -> None:

@@ -25,8 +25,7 @@ def run_jobs(jobs: Iterable[Job], module: Module, spec: Specification,
              operations: Sequence[str], model: StoreBufferModel,
              sink: PredicateSink, flush_prob: float, por: bool,
              max_steps: int,
-             worker: Optional[str] = None,
-             compiled: Optional[bool] = None) -> Iterator[ExecutionSummary]:
+             worker: Optional[str] = None) -> Iterator[ExecutionSummary]:
     """Run each job and yield its summary — the shared worker loop.
 
     The model and sink are reused across jobs (``run_execution`` resets
@@ -40,7 +39,7 @@ def run_jobs(jobs: Iterable[Job], module: Module, spec: Specification,
                                         por=por)
         result = run_execution(module, model, scheduler, entry=entry,
                                operations=operations, max_steps=max_steps,
-                               sink=sink, compiled=compiled)
+                               sink=sink)
         violation = spec.check(result) if result.usable else None
         yield summarize_execution(index, entry, seed, result, violation,
                                   worker=worker)
@@ -50,13 +49,11 @@ class SerialPool(ExecutionPool):
     """Runs every job in the calling process, in submission order."""
 
     def __init__(self, model_name: str, flush_prob: float, por: bool = True,
-                 max_steps: int = DEFAULT_MAX_STEPS,
-                 compiled: Optional[bool] = None) -> None:
+                 max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.model_name = model_name
         self.flush_prob = flush_prob
         self.por = por
         self.max_steps = max_steps
-        self.compiled = compiled
         self._model = make_model(model_name)
         self._sink = PredicateSink()
         self._module: Optional[Module] = None
@@ -74,5 +71,4 @@ class SerialPool(ExecutionPool):
             raise RuntimeError("broadcast() must be called before run()")
         return run_jobs(jobs, self._module, self._spec, self._operations,
                         self._model, self._sink, self.flush_prob, self.por,
-                        self.max_steps, worker="serial",
-                        compiled=self.compiled)
+                        self.max_steps, worker="serial")

@@ -72,8 +72,9 @@ def _advance_local(vm: VM) -> None:
     Each thread's local run is executed to completion before moving to
     the next thread (rather than one op per thread round-robin) — the
     commutativity that justifies the reduction also makes the two orders
-    reach the same state at every decision point, and depth-first runs
-    let the compiled VM use superinstructions.
+    reach the same state at every decision point, and one
+    :meth:`~repro.vm.interp.VM.run_local` call per thread covers a whole
+    run.
     """
     progress = True
     while progress:
@@ -104,15 +105,13 @@ def _apply(vm: VM, choice: Choice) -> None:
 
 def _run_with_prefix(module: Module, model_factory: ModelFactory,
                      entry: str, prefix: Sequence[int], max_steps: int,
-                     outcome_fn: OutcomeFn,
-                     compiled: Optional[bool] = None):
+                     outcome_fn: OutcomeFn):
     """Replay *prefix*, then default (first option) to completion.
 
     Returns (choices_taken, option_counts, outcome, violation).
     """
     model = model_factory()
-    vm = make_vm(module, model, compiled=compiled, entry=entry,
-                 max_steps=max_steps)
+    vm = make_vm(module, model, entry=entry, max_steps=max_steps)
     taken: List[int] = []
     counts: List[int] = []
     violation: Optional[str] = None
@@ -150,8 +149,7 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             outcome_fn: Optional[OutcomeFn] = None,
             max_paths: int = 20_000,
             max_steps: int = 2_000,
-            model_factory: Optional[ModelFactory] = None,
-            compiled: Optional[bool] = None) -> ExplorationResult:
+            model_factory: Optional[ModelFactory] = None) -> ExplorationResult:
     """Enumerate schedules of *module* under *model_name*.
 
     Outcomes are tuples of the named globals' final values (or whatever
@@ -184,8 +182,7 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             break
         prefix = stack.pop()
         taken, counts, outcome, violation = _run_with_prefix(
-            module, model_factory, entry, prefix, max_steps, outcome_fn,
-            compiled=compiled)
+            module, model_factory, entry, prefix, max_steps, outcome_fn)
         paths += 1
         if outcome is not None:
             outcomes.add(outcome)

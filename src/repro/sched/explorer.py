@@ -399,8 +399,7 @@ def explore_subtree(module: Module, model_factory: Optional[ModelFactory],
                     outcome_globals: Sequence[str],
                     prefix: Sequence[int],
                     sleep_items: Sequence[Tuple[Tuple, Footprint]],
-                    reduction: str, max_paths: int, max_steps: int,
-                    compiled: Optional[bool] = None):
+                    reduction: str, max_paths: int, max_steps: int):
     """Explore one subtree (identified by a choice-index prefix) to
     completion.  This is the unit of work shipped to parallel workers;
     it is also used in-process for the picklability fallback.
@@ -415,8 +414,7 @@ def explore_subtree(module: Module, model_factory: Optional[ModelFactory],
     stats = ExploreStats()
     outcomes: Set[Tuple] = set()
     violations: Set[str] = set()
-    vm = make_vm(module, model_factory(), compiled=compiled, entry=entry,
-                 max_steps=max_steps)
+    vm = make_vm(module, model_factory(), entry=entry, max_steps=max_steps)
     try:
         _replay_prefix(vm, prefix)
     except SpecViolationError as exc:
@@ -437,8 +435,7 @@ def _expand_frontier(module: Module, model_factory: ModelFactory,
                      entry: str, outcome_fn: OutcomeFn, max_steps: int,
                      target: int, max_depth: int, use_sleep: bool,
                      stats: ExploreStats, outcomes: Set[Tuple],
-                     violations: Set[str],
-                     compiled: Optional[bool] = None):
+                     violations: Set[str]):
     """Breadth-first expand the top of the choice tree into >= *target*
     subtree tasks (or fewer if the tree is small).
 
@@ -454,8 +451,8 @@ def _expand_frontier(module: Module, model_factory: ModelFactory,
                 or len(prefix) >= max_depth):
             tasks.append((prefix, sleep_items))
             continue
-        vm = make_vm(module, model_factory(), compiled=compiled,
-                     entry=entry, max_steps=max_steps)
+        vm = make_vm(module, model_factory(), entry=entry,
+                     max_steps=max_steps)
         try:
             _replay_prefix(vm, prefix)
         except SpecViolationError as exc:
@@ -496,8 +493,7 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             model_factory: Optional[ModelFactory] = None,
             reduction: str = "sleep+cache",
             workers: Optional[int] = None,
-            recorder=NULL_RECORDER,
-            compiled: Optional[bool] = None) -> ExplorationResult:
+            recorder=NULL_RECORDER) -> ExplorationResult:
     """Enumerate schedules of *module* under *model_name*.
 
     Drop-in replacement for :func:`repro.sched.exhaustive.explore` with
@@ -528,7 +524,7 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
         result = run_parallel(
             module, model_factory, model_name, entry, outcome_fn,
             outcome_globals, reduction, max_paths, max_steps, count,
-            stats, outcomes, violations, compiled=compiled)
+            stats, outcomes, violations)
         if result is not None:
             recorder.explore(stats)
             return result
@@ -538,8 +534,7 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             return make_model(model_name)
     if outcome_fn is None:
         outcome_fn = _make_outcome_fn(outcome_globals)
-    vm = make_vm(module, model_factory(), compiled=compiled, entry=entry,
-                 max_steps=max_steps)
+    vm = make_vm(module, model_factory(), entry=entry, max_steps=max_steps)
     cache = {} if reduction == "sleep+cache" else None
     search = _Search(vm, outcome_fn, max_paths, reduction != "none",
                      cache, stats, outcomes, violations)

@@ -116,9 +116,8 @@ class FlushDelayScheduler(Scheduler):
                 trace.append(("step", tid))
             # ``step`` reports whether the next instruction is local, so
             # a burst that would execute nothing is never started.  The
-            # burst is budget-counted in underlying instructions on both
-            # VM backends, so schedules — and RNG draws — are
-            # backend-independent.
+            # burst's budget counts instructions, so a trace holds one
+            # ``step`` event per instruction.
             if step(tid) and por:
                 executed = run_local(tid, MAX_LOCAL_RUN)
                 if trace is not None:

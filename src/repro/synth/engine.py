@@ -63,8 +63,7 @@ class SynthesisConfig:
                  abort_on_unfixable: bool = False,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 witness_limit: int = 5,
-                 compiled: Optional[bool] = None) -> None:
+                 witness_limit: int = 5) -> None:
         self.memory_model = memory_model
         self.flush_prob = flush_prob
         self.executions_per_round = executions_per_round
@@ -87,11 +86,6 @@ class SynthesisConfig:
             raise ValueError("witness_limit must be non-negative")
         #: Reproducible violation witnesses kept per round (0 disables).
         self.witness_limit = witness_limit
-        #: VM backend: True → closure-compiled, False → generic
-        #: interpreter, None → the process default (compiled unless
-        #: ``--no-compile``/``REPRO_NO_COMPILE``).  Both backends produce
-        #: byte-identical results; see ``repro.vm.compile``.
-        self.compiled = compiled
 
 
 class RoundReport:
@@ -227,7 +221,7 @@ class SynthesisEngine:
         cfg = self.config
         return make_pool(cfg.workers, cfg.memory_model, cfg.flush_prob,
                          por=cfg.por, max_steps=cfg.max_steps,
-                         chunk_size=cfg.chunk_size, compiled=cfg.compiled)
+                         chunk_size=cfg.chunk_size)
 
     # ------------------------------------------------------------------
 

@@ -5,13 +5,7 @@ and schedulers, operation-history recording, and built-in memory-safety
 checking.
 """
 
-from .compile import (
-    COMPILE_STATS,
-    CompiledVM,
-    compiled_default,
-    make_vm,
-    set_compiled_default,
-)
+from .compile import COMPILE_STATS, make_vm
 from .driver import ExecutionResult, ExecutionStatus, run_execution, run_once
 from .errors import (
     AssertionViolation,
@@ -28,11 +22,10 @@ from .interp import DEFAULT_MAX_STEPS, VM
 from .state import Frame, Thread, ThreadStatus
 
 __all__ = [
-    "AssertionViolation", "COMPILE_STATS", "CompiledVM",
-    "DEFAULT_MAX_STEPS", "DeadlockError", "ExecutionResult",
-    "ExecutionStatus", "Frame", "History", "InterpreterError",
-    "MemorySafetyViolation", "NULL_GUARD", "Operation", "SharedMemory",
-    "SpecViolationError", "StepLimitExceeded", "Thread", "ThreadStatus",
-    "VM", "VMError", "compiled_default", "make_vm", "run_execution",
-    "run_once", "set_compiled_default",
+    "AssertionViolation", "COMPILE_STATS", "DEFAULT_MAX_STEPS",
+    "DeadlockError", "ExecutionResult", "ExecutionStatus", "Frame",
+    "History", "InterpreterError", "MemorySafetyViolation", "NULL_GUARD",
+    "Operation", "SharedMemory", "SpecViolationError", "StepLimitExceeded",
+    "Thread", "ThreadStatus", "VM", "VMError", "make_vm", "run_execution",
+    "run_once",
 ]

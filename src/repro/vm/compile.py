@@ -1,117 +1,78 @@
-"""Closure-compiled DIR: a specializing template compiler for the VM.
+"""Closure-compiled DIR: the template compiler behind the VM's hot loop.
 
-The generic interpreter (:mod:`repro.vm.interp`) pays a per-instruction
-tax on every step: an attribute chase through ``instr.dst``/``instr.a``,
-an ``isinstance`` test per operand in ``_value``, a string-compare chain
-in ``_apply_binop``, and a label→index lookup per branch.  The paper's
-DFENCE amortizes the equivalent cost by riding LLVM ``lli``'s pre-decoded
-bytecode; this module is the reproduction's analogue: each function body
-is lowered *once* into a dense list of specialized Python closures —
+A generic interpreter pays a per-instruction tax on every step: an
+attribute chase through ``instr.dst``/``instr.a``, an ``isinstance`` test
+per operand, a string-compare chain per operator, and a label→index
+lookup per branch.  The paper's DFENCE amortizes the equivalent cost by
+riding LLVM ``lli``'s pre-decoded bytecode; this module is the
+reproduction's analogue: each function body is lowered *once* into a
+dense list of single-instruction Python closures —
 
-* constants are inlined into the closure at compile time (and constant
-  subexpressions folded when that cannot change error behaviour),
-* register operands are pre-resolved to interned frame-dict keys, so a
-  register access is a single hash probe with no operand dispatch,
+* register operands are pre-resolved to interned frame-dict keys and
+  constant operands are captured in the closure, so an operand access is
+  a single hash probe (or none) with no operand dispatch,
+* operators are pre-resolved to their :data:`BINOPS`/:data:`UNOPS`
+  function — the one table of C operator semantics, which the IR
+  optimizer's constant folding uses too,
 * branch targets are pre-bound to instruction *offsets* instead of
-  label lookups,
-* straight-line runs of pure register ops (const/mov/binop/unop) are
-  fused into *superinstruction* closures, executed back to back without
-  re-entering the step loop.
+  label lookups.
 
-Superinstructions never change what a scheduler can observe: only
-thread-local register ops are fused, and they are only executed in bulk
-inside :meth:`CompiledVM.run_local` — the partial-order-reduction burst
-that both backends define as "run local instructions until the next
-scheduler-visible action (load, store, CAS, fence, fork/join, operation
-call/return) or the budget runs out".  ``step()`` itself always executes
-exactly one instruction, so every existing call site (round-robin,
-replay, explorer tree edges) keeps per-instruction semantics.  The
-``steps``/``seq`` counters, coverage sets, and the step-limit check are
-maintained per *underlying instruction*, which is what makes compiled
-executions byte-identical to interpreted ones (outcomes, histories,
-predicates, traces) — see ``tests/test_compile_equivalence.py``.
+:class:`~repro.vm.interp.VM` executes one closure per step, in
+``step()`` and in the ``run_local`` partial-order-reduction burst alike,
+so the ``steps``/``seq`` counters, coverage sets and the step-limit check
+advance per instruction.  ``tests/reference_vm.py`` keeps the generic
+per-instruction interpreter as the differential oracle; the VM must
+match it byte for byte (outcomes, histories, predicates, traces) — see
+``tests/test_compile_equivalence.py``.
 
 Compiled bodies are cached per ``(function, body_version)``:
 :class:`~repro.ir.function.Function` bumps ``body_version`` on every
 mutation, so a synthesis round that inserts a fence recompiles only the
 repaired function while all untouched functions reuse their closures.
-
-Known, documented divergences from the interpreted reference — none
-observable through :class:`~repro.vm.driver.ExecutionResult`:
-
-* If an :class:`InterpreterError` (division by zero) is raised from the
-  middle of a superinstruction, ``vm.steps``/``vm.seq`` have already
-  been bumped for the whole fused run.  The exception propagates out of
-  the driver either way, identically on both backends.
-* ``_advance_local`` (exploration) interleaves different threads' local
-  runs depth-first per thread instead of one-op round-robin; local ops
-  commute, so the state at every decision point is identical.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 from weakref import WeakKeyDictionary
 
 from ..ir import instructions as ins
 from ..ir.function import Function
 from ..ir.operands import Const, Reg, Sym
-from .errors import AssertionViolation, InterpreterError, StepLimitExceeded
-from .interp import LOCAL_OPS, LOCAL_OPS_ASSERT, VM, _DISPATCH
-from .state import Frame, Thread, ThreadStatus
+from .errors import AssertionViolation, InterpreterError
+from .state import Frame, Thread
 
-#: A compiled instruction: executes its op(s) and sets ``frame.ip``.
-Closure = Callable[["CompiledVM", Thread, Frame], None]
+if TYPE_CHECKING:
+    from .interp import VM
 
-#: Pure register-op classes eligible for superinstruction fusion.
-_FUSABLE = frozenset((ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp))
+#: A compiled instruction: executes its op and sets ``frame.ip``.
+Closure = Callable[["VM", Thread, Frame], None]
 
-_FINISHED = ThreadStatus.FINISHED
-_BLOCKED_JOIN = ThreadStatus.BLOCKED_JOIN
-
-
-# ----------------------------------------------------------------------
-# Backend selection (the --no-compile escape hatch)
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_NO_COMPILE", "") not in (
-        "1", "true", "yes", "on")
-
-
-#: Process-wide default backend: True → CompiledVM, False → generic VM.
-_COMPILED_DEFAULT = _env_default()
+#: Instruction classes that only touch thread-local state (registers and
+#: control flow).  They commute with every other thread's actions, so the
+#: schedulers' partial-order reduction may run them back to back without
+#: offering the decision point to other threads.  The exploration variant
+#: additionally treats ``assert`` as local (its violation surfaces on
+#: every interleaving once its operands are fixed); the random scheduler
+#: keeps asserts as scheduling points, matching its historical behaviour.
+LOCAL_OPS = frozenset((
+    ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp,
+    ins.Br, ins.Cbr, ins.Nop, ins.SelfId, ins.AddrOf,
+))
+LOCAL_OPS_ASSERT = LOCAL_OPS | frozenset((ins.Assert,))
 
 
-def compiled_default() -> bool:
-    """The process-wide default VM backend (True = compiled)."""
-    return _COMPILED_DEFAULT
+def make_vm(module, model, **kwargs) -> "VM":
+    """Build the VM for one execution.
 
-
-def set_compiled_default(value: bool) -> None:
-    """Select the default backend for VMs built with ``compiled=None``.
-
-    The CLI's ``--no-compile`` flag calls this (and exports
-    ``REPRO_NO_COMPILE=1`` so worker processes inherit the choice).
+    The package builds every VM here (``run_execution``, the explorers),
+    so this is the one place to count or time VM construction.
     """
-    global _COMPILED_DEFAULT
-    _COMPILED_DEFAULT = bool(value)
-
-
-def make_vm(module, model, compiled: Optional[bool] = None, **kwargs) -> VM:
-    """Build a VM on the selected backend.
-
-    ``compiled=None`` (the common case) uses the process default —
-    compiled unless ``--no-compile``/``REPRO_NO_COMPILE`` turned the
-    audited generic interpreter back on.
-    """
-    if compiled is None:
-        compiled = _COMPILED_DEFAULT
-    cls = CompiledVM if compiled else VM
-    return cls(module, model, **kwargs)
+    from .interp import VM  # deferred: interp imports this module
+    return VM(module, model, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -120,15 +81,13 @@ def make_vm(module, model, compiled: Optional[bool] = None, **kwargs) -> VM:
 class CompileStats:
     """Process-global template-compiler counters."""
 
-    __slots__ = ("functions", "recompiles", "instructions",
-                 "superinstructions", "fused_ops", "cache_hits", "seconds")
+    __slots__ = ("functions", "recompiles", "instructions", "cache_hits",
+                 "seconds")
 
     def __init__(self) -> None:
         self.functions = 0          # bodies compiled (incl. recompiles)
         self.recompiles = 0         # of those, version-bump recompiles
         self.instructions = 0       # instructions lowered
-        self.superinstructions = 0  # fused runs emitted
-        self.fused_ops = 0          # instructions covered by fused runs
         self.cache_hits = 0         # code_for() calls served from cache
         self.seconds = 0.0          # wall-clock spent compiling
 
@@ -136,10 +95,8 @@ class CompileStats:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __repr__(self) -> str:
-        return ("<CompileStats %d fns (%d recompiles), %d instrs, "
-                "%d superinstrs>" % (self.functions, self.recompiles,
-                                     self.instructions,
-                                     self.superinstructions))
+        return "<CompileStats %d fns (%d recompiles), %d instrs>" % (
+            self.functions, self.recompiles, self.instructions)
 
 
 #: The shared counter instance (per process; worker processes have their
@@ -193,7 +150,9 @@ def _value_thunk(operand):
 
 
 # ----------------------------------------------------------------------
-# Operator tables (C-like semantics, matching interp._apply_binop/_unop)
+# Operator tables: the package's one copy of C-like operator semantics
+# on Python ints (the VM's templates and the optimizer's constant folding
+# both evaluate through them).
 
 def _div(a: int, b: int) -> int:
     if b == 0:
@@ -233,7 +192,7 @@ def _ge(a, b):
     return 1 if a >= b else 0
 
 
-_BINOP_FN = {
+BINOPS = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul,
     "div": _div, "mod": _mod,
     "and": operator.and_, "or": operator.or_, "xor": operator.xor,
@@ -241,7 +200,7 @@ _BINOP_FN = {
     "eq": _eq, "ne": _ne, "lt": _lt, "le": _le, "gt": _gt, "ge": _ge,
 }
 
-_UNOP_FN = {
+UNOPS = {
     "neg": operator.neg,
     "not": lambda a: 1 if a == 0 else 0,
     "bnot": operator.invert,
@@ -289,22 +248,9 @@ def _compile_mov(instr: ins.Mov, nxt: int) -> Closure:
 
 def _compile_binop(instr: ins.BinOp, nxt: int) -> Closure:
     dst = sys.intern(instr.dst.name)
-    fn = _BINOP_FN[instr.binop]
+    fn = BINOPS[instr.binop]
     ka, a = _operand(instr.a)
     kb, b = _operand(instr.b)
-    if ka == "c" and kb == "c":
-        # Constant folding — but only when evaluation cannot raise
-        # (div/mod by zero, negative shifts must fail at run time,
-        # exactly like the interpreter).
-        try:
-            value = fn(a, b)
-        except Exception:
-            pass
-        else:
-            def op(vm, thread, frame):
-                frame.regs[dst] = value
-                frame.ip = nxt
-            return op
     if ka == "r" and kb == "r":
         def op(vm, thread, frame):
             regs = frame.regs
@@ -331,15 +277,9 @@ def _compile_binop(instr: ins.BinOp, nxt: int) -> Closure:
 
 def _compile_unop(instr: ins.UnOp, nxt: int) -> Closure:
     dst = sys.intern(instr.dst.name)
-    fn = _UNOP_FN[instr.unop]
+    fn = UNOPS[instr.unop]
     kind, payload = _operand(instr.a)
-    if kind == "c":
-        value = fn(payload)
-
-        def op(vm, thread, frame):
-            frame.regs[dst] = value
-            frame.ip = nxt
-    elif kind == "r":
+    if kind == "r":
         a = payload
 
         def op(vm, thread, frame):
@@ -522,14 +462,12 @@ def _compile_nop(instr: ins.Nop, nxt: int) -> Closure:
 
 
 def _compile_delegate(instr: ins.Instr) -> Closure:
-    """Fallback template: reuse the audited generic handler.
-
-    Used for the frame- and thread-shape-changing instructions
-    (call/return, fork/join, page allocation) whose cost is dominated by
-    the operation itself, not operand decoding — delegation keeps their
-    semantics byte-for-byte the interpreter's by construction.
-    """
-    handler = _DISPATCH.get(instr.__class__)
+    """Template for the frame- and thread-shape-changing instructions
+    (call/return, fork/join, page allocation): their cost is dominated by
+    the operation itself, not operand decoding, so the closure calls the
+    VM's handler for the instruction."""
+    from .interp import DELEGATED  # deferred: interp imports this module
+    handler = DELEGATED.get(instr.__class__)
     if handler is None:
         raise InterpreterError("unknown instruction %r" % (instr,))
 
@@ -573,119 +511,37 @@ def _compile_instr(instr: ins.Instr, offset: int, fn: Function) -> Closure:
 
 
 # ----------------------------------------------------------------------
-# Superinstruction fusion
-
-def _fuse(parts: List[Closure]) -> Closure:
-    """One closure executing a straight-line run of register ops.
-
-    Small runs are unrolled (no loop machinery); longer ones iterate.
-    Each part still sets ``frame.ip``, so an exception raised mid-run
-    (division by zero) leaves the ip at the failing instruction, exactly
-    like the interpreter.
-    """
-    n = len(parts)
-    if n == 2:
-        p0, p1 = parts
-
-        def op(vm, thread, frame):
-            p0(vm, thread, frame)
-            p1(vm, thread, frame)
-    elif n == 3:
-        p0, p1, p2 = parts
-
-        def op(vm, thread, frame):
-            p0(vm, thread, frame)
-            p1(vm, thread, frame)
-            p2(vm, thread, frame)
-    elif n == 4:
-        p0, p1, p2, p3 = parts
-
-        def op(vm, thread, frame):
-            p0(vm, thread, frame)
-            p1(vm, thread, frame)
-            p2(vm, thread, frame)
-            p3(vm, thread, frame)
-    else:
-        run = tuple(parts)
-
-        def op(vm, thread, frame):
-            for part in run:
-                part(vm, thread, frame)
-    return op
-
+# Compiled bodies
 
 class CompiledCode:
     """One function body, lowered.  Immutable once built.
 
-    Parallel arrays indexed by instruction offset:
+    Parallel tuples indexed by instruction offset:
 
-    * ``code``    — preferred closure: a superinstruction at fused-run
-      heads, the single-op closure everywhere else.  Offsets *inside* a
-      fused run keep their single closure here, so a branch (or snapshot
-      restore) landing mid-run resumes correctly, one op at a time.
-    * ``singles`` — always the single-op closure (budget-exact stepping).
-    * ``ops``     — how many instructions ``code[i]`` executes.
-    * ``labels``  — the labels ``code[i]`` covers (coverage sets).
-    * ``label_of``— the label at offset i.
-    * ``local`` / ``local_assert`` — scheduler-locality flags per offset
-      (the two POR variants; see :data:`repro.vm.interp.LOCAL_OPS`).
+    * ``closures`` — the instruction's compiled closure.
+    * ``label_of`` — its label (coverage sets).
+    * ``local`` / ``local_assert`` — scheduler-locality flags (the two
+      POR variants; see :data:`LOCAL_OPS`).
     """
 
-    __slots__ = ("fn_name", "version", "code", "singles", "ops", "labels",
-                 "label_of", "local", "local_assert")
+    __slots__ = ("fn_name", "version", "closures", "label_of", "local",
+                 "local_assert")
 
     def __init__(self, fn: Function) -> None:
         body = fn.body
         self.fn_name = fn.name
         self.version = fn.body_version
-        singles = [_compile_instr(instr, i, fn)
-                   for i, instr in enumerate(body)]
-        self.singles = singles
+        self.closures = tuple(_compile_instr(instr, i, fn)
+                              for i, instr in enumerate(body))
         self.label_of = tuple(instr.label for instr in body)
         self.local = tuple(instr.__class__ in LOCAL_OPS for instr in body)
         self.local_assert = tuple(instr.__class__ in LOCAL_OPS_ASSERT
                                   for instr in body)
-
-        targets = set()
-        for instr in body:
-            for label in instr.jump_targets():
-                targets.add(fn.index_of(label))
-
-        code = list(singles)
-        ops = [1] * len(body)
-        labels: List[Tuple[int, ...]] = [(instr.label,) for instr in body]
-        fused_runs = 0
-        fused_ops = 0
-        i = 0
-        n = len(body)
-        while i < n:
-            if body[i].__class__ in _FUSABLE:
-                j = i + 1
-                while (j < n and body[j].__class__ in _FUSABLE
-                       and j not in targets):
-                    j += 1
-                if j - i >= 2:
-                    code[i] = _fuse(singles[i:j])
-                    ops[i] = j - i
-                    labels[i] = tuple(instr.label for instr in body[i:j])
-                    fused_runs += 1
-                    fused_ops += j - i
-                i = j
-            else:
-                i += 1
-        self.code = code
-        self.ops = ops
-        self.labels = tuple(labels)
-
-        stats = COMPILE_STATS
-        stats.instructions += n
-        stats.superinstructions += fused_runs
-        stats.fused_ops += fused_ops
+        COMPILE_STATS.instructions += len(body)
 
     def __repr__(self) -> str:
-        fused = sum(1 for n in self.ops if n > 1)
-        return "<CompiledCode %s v%d: %d instrs, %d superinstrs>" % (
-            self.fn_name, self.version, len(self.singles), fused)
+        return "<CompiledCode %s v%d: %d instrs>" % (
+            self.fn_name, self.version, len(self.closures))
 
 
 #: Compiled-body cache: function → CompiledCode, validated against
@@ -708,127 +564,3 @@ def code_for(fn: Function) -> CompiledCode:
         COMPILE_STATS.recompiles += 1
     _CACHE[fn] = compiled
     return compiled
-
-
-# ----------------------------------------------------------------------
-# The compiled VM
-
-class CompiledVM(VM):
-    """A :class:`VM` that executes closure-compiled bodies.
-
-    Drop-in replacement: same constructor, same observable semantics
-    (the differential sweep asserts byte-identical outcomes, histories,
-    predicates, and synthesized fences).  ``snapshot()``/``restore()``
-    are inherited unchanged — compiled code is pure per-function data
-    shared across frames and snapshots, and every offset keeps a
-    single-op closure, so a restore into the middle of a fused run
-    resumes one op at a time.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._fn_code: Dict[str, CompiledCode] = {}
-        super().__init__(*args, **kwargs)
-
-    def _code_for(self, fn: Function) -> CompiledCode:
-        code = self._fn_code.get(fn.name)
-        if code is None:
-            code = self._fn_code[fn.name] = code_for(fn)
-        return code
-
-    def step(self, tid: int) -> bool:
-        """Execute exactly one instruction of thread *tid* (compiled).
-
-        Returns whether the thread's next instruction is local, as
-        :meth:`VM.step` does, read from the compiled ``local`` flags.
-        """
-        thread = self.threads[tid]
-        status = thread.status
-        if status is _FINISHED:
-            raise InterpreterError("stepping finished thread %d" % tid)
-
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepLimitExceeded(
-                "execution exceeded %d steps" % self.max_steps)
-        self.seq += 1
-
-        if status is _BLOCKED_JOIN:
-            self._complete_join(thread)
-            frame = None
-        else:
-            frame = thread.frames[-1]
-            code = frame.handlers
-            if code is None:
-                code = frame.handlers = self._code_for(frame.fn)
-            ip = frame.ip
-            if self.coverage is not None:
-                self.coverage.add(code.label_of[ip])
-            code.singles[ip](self, thread, frame)
-        # A finished thread has no frames left; one that just blocked in
-        # join still sits on its join, which is not local.
-        frames = thread.frames
-        if not frames:
-            return False
-        top = frames[-1]
-        if top is not frame:
-            # A call, return or join completion moved the thread.
-            code = top.handlers
-            if code is None:
-                code = top.handlers = self._code_for(top.fn)
-        return code.local[top.ip]
-
-    def run_local(self, tid: int, budget: int,
-                  with_assert: bool = False) -> int:
-        """Budget-exact local burst over compiled code.
-
-        Executes the same underlying instruction sequence as the generic
-        :meth:`VM.run_local`, but fused runs that fit the remaining
-        budget go through one superinstruction closure; a run that would
-        overshoot the budget falls back to single-op closures, so the
-        burst never executes more instructions than the reference would.
-        """
-        thread = self.threads[tid]
-        if thread.status is not ThreadStatus.RUNNABLE or not thread.frames:
-            return 0
-        frame = thread.frames[-1]
-        code = frame.handlers
-        if code is None:
-            code = frame.handlers = self._code_for(frame.fn)
-        local = code.local_assert if with_assert else code.local
-        preferred = code.code
-        singles = code.singles
-        ops = code.ops
-        labels = code.labels
-        coverage = self.coverage
-        max_steps = self.max_steps
-        executed = 0
-        while executed < budget:
-            ip = frame.ip
-            if not local[ip]:
-                break
-            cl = preferred[ip]
-            n = ops[ip]
-            if n > budget - executed:
-                cl = singles[ip]
-                n = 1
-            new_steps = self.steps + n
-            if new_steps > max_steps:
-                # The limit falls inside this batch: revert to exact
-                # per-op accounting so the exception is raised at the
-                # same instruction as the interpreter.
-                while True:
-                    self.steps += 1
-                    if self.steps > max_steps:
-                        raise StepLimitExceeded(
-                            "execution exceeded %d steps" % max_steps)
-                    self.seq += 1
-                    if coverage is not None:
-                        coverage.add(code.label_of[frame.ip])
-                    singles[frame.ip](self, thread, frame)
-            self.steps = new_steps
-            self.seq += n
-            if coverage is not None:
-                coverage.update(labels[ip])
-            cl(self, thread, frame)
-            executed += n
-        return executed

@@ -89,8 +89,7 @@ def run_execution(module: Module, model: StoreBufferModel,
                   max_steps: int = DEFAULT_MAX_STEPS,
                   collect_predicates: bool = True,
                   coverage: Optional[set] = None,
-                  sink: Optional[PredicateSink] = None,
-                  compiled: Optional[bool] = None) -> ExecutionResult:
+                  sink: Optional[PredicateSink] = None) -> ExecutionResult:
     """Run *module* once under *model*, driven by *scheduler*.
 
     The memory model instance is reset before use, so one instance can be
@@ -98,8 +97,6 @@ def run_execution(module: Module, model: StoreBufferModel,
     the labels of executed instructions across runs.  A *sink* may also be
     supplied to reuse one :class:`PredicateSink` (and its intern table)
     across a worker's run loop; it is cleared before the execution.
-    ``compiled`` picks the VM backend (None → the process default:
-    closure-compiled unless ``--no-compile``/``REPRO_NO_COMPILE``).
     """
     if collect_predicates:
         if sink is None:
@@ -108,9 +105,9 @@ def run_execution(module: Module, model: StoreBufferModel,
             sink.clear()
     else:
         sink = None
-    vm = make_vm(module, model, compiled=compiled, entry=entry,
-                 entry_args=entry_args, operations=operations, sink=sink,
-                 max_steps=max_steps, coverage=coverage)
+    vm = make_vm(module, model, entry=entry, entry_args=entry_args,
+                 operations=operations, sink=sink, max_steps=max_steps,
+                 coverage=coverage)
 
     status = ExecutionStatus.OK
     error: Optional[str] = None

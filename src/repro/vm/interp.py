@@ -1,10 +1,14 @@
-"""The DIR interpreter — the reproduction's version of the extended lli.
+"""The DIR virtual machine — the reproduction's version of the extended lli.
 
 One :class:`VM` instance executes one program run.  The VM performs the
 *thread* steps; the *memory-system* steps (flushes) are driven externally
 by a scheduler, which also chooses which thread steps next.  This mirrors
 the paper's architecture where the scheduler plug-in controls both thread
 interleaving and flushing.
+
+Each step runs one closure of the function's compiled body
+(:mod:`repro.vm.compile`); the closures for call/return, fork/join and
+page allocation call back into the handlers defined here.
 """
 
 from __future__ import annotations
@@ -12,15 +16,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..ir import instructions as ins
+from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.operands import Const, Reg, Sym
 from ..memory.models import StoreBufferModel
 from ..memory.predicates import PredicateSink
-from .errors import (
-    AssertionViolation,
-    InterpreterError,
-    StepLimitExceeded,
-)
+from .compile import CompiledCode, code_for
+from .errors import InterpreterError, StepLimitExceeded
 from .events import History
 from .heap import SharedMemory
 from .state import Frame, Thread, ThreadStatus
@@ -28,18 +30,9 @@ from .state import Frame, Thread, ThreadStatus
 #: Default per-execution step budget.
 DEFAULT_MAX_STEPS = 200_000
 
-#: Instruction classes that only touch thread-local state (registers and
-#: control flow).  They commute with every other thread's actions, so the
-#: schedulers' partial-order reduction may run them back to back without
-#: offering the decision point to other threads.  The exploration variant
-#: additionally treats ``assert`` as local (its violation surfaces on
-#: every interleaving once its operands are fixed); the random scheduler
-#: keeps asserts as scheduling points, matching its historical behaviour.
-LOCAL_OPS = frozenset((
-    ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp,
-    ins.Br, ins.Cbr, ins.Nop, ins.SelfId, ins.AddrOf,
-))
-LOCAL_OPS_ASSERT = LOCAL_OPS | frozenset((ins.Assert,))
+_RUNNABLE = ThreadStatus.RUNNABLE
+_FINISHED = ThreadStatus.FINISHED
+_BLOCKED_JOIN = ThreadStatus.BLOCKED_JOIN
 
 
 class VMSnapshot:
@@ -49,7 +42,7 @@ class VMSnapshot:
     VM instance.  Snapshots deep-copy all mutable execution state
     (threads, frames, registers, shared memory, store buffers, history,
     counters) and share everything immutable (module, functions,
-    dispatch tables).
+    compiled bodies).
     """
 
     __slots__ = ("threads", "next_tid", "steps", "seq", "flushes",
@@ -95,11 +88,11 @@ class VM:
         model.reset()
         model.attach(self._commit, sink)
 
-        #: Per-function precomputed dispatch lists (function name → list of
-        #: handlers aligned with ``fn.body``).  Function bodies only mutate
-        #: *between* executions (fence insertion), never during one, so the
-        #: cache is valid for this VM's lifetime.
-        self._fn_handlers: Dict[str, list] = {}
+        #: Compiled bodies by function name.  Function bodies only mutate
+        #: *between* executions (fence insertion), never during one, so
+        #: this VM checks ``body_version`` once per function (in
+        #: ``code_for``) and reuses the body for its whole lifetime.
+        self._fn_code: Dict[str, CompiledCode] = {}
 
         self.threads: Dict[int, Thread] = {}
         self._next_tid = 0
@@ -264,16 +257,23 @@ class VM:
     # ------------------------------------------------------------------
     # Stepping
 
+    def _code_for(self, fn: Function) -> CompiledCode:
+        code = self._fn_code.get(fn.name)
+        if code is None:
+            code = self._fn_code[fn.name] = code_for(fn)
+        return code
+
     def step(self, tid: int) -> bool:
         """Execute one instruction of thread *tid*.
 
         Returns True when the thread can still step and its next
-        instruction is thread-local (:data:`LOCAL_OPS`), i.e. when a
-        partial-order-reduction burst (:meth:`run_local`) would execute
-        anything; schedulers skip the burst otherwise.
+        instruction is thread-local (:data:`~repro.vm.compile.LOCAL_OPS`),
+        i.e. when a partial-order-reduction burst (:meth:`run_local`)
+        would execute anything; schedulers skip the burst otherwise.
         """
         thread = self.threads[tid]
-        if thread.status is ThreadStatus.FINISHED:
+        status = thread.status
+        if status is _FINISHED:
             raise InterpreterError("stepping finished thread %d" % tid)
 
         self.steps += 1
@@ -282,20 +282,30 @@ class VM:
                 "execution exceeded %d steps" % self.max_steps)
         self.seq += 1
 
-        if thread.status is ThreadStatus.BLOCKED_JOIN:
+        if status is _BLOCKED_JOIN:
             self._complete_join(thread)
+            frame = None
         else:
-            frame = thread.top
-            handlers = frame.handlers
-            if handlers is None:
-                handlers = frame.handlers = self._handlers_for(frame.fn)
+            frame = thread.frames[-1]
+            code = frame.handlers
+            if code is None:
+                code = frame.handlers = self._code_for(frame.fn)
             ip = frame.ip
-            instr = frame.fn.body[ip]
             if self.coverage is not None:
-                self.coverage.add(instr.label)
-            handlers[ip](self, thread, frame, instr)
-        nxt = self.peek(tid)
-        return nxt is not None and nxt.__class__ in LOCAL_OPS
+                self.coverage.add(code.label_of[ip])
+            code.closures[ip](self, thread, frame)
+        # A finished thread has no frames left; one that just blocked in
+        # join still sits on its join, which is not local.
+        frames = thread.frames
+        if not frames:
+            return False
+        top = frames[-1]
+        if top is not frame:
+            # A call, return or join completion moved the thread.
+            code = top.handlers
+            if code is None:
+                code = top.handlers = self._code_for(top.fn)
+        return code.local[top.ip]
 
     def run_local(self, tid: int, budget: int,
                   with_assert: bool = False) -> int:
@@ -307,20 +317,36 @@ class VM:
         number of instructions executed.  ``with_assert`` additionally
         treats ``assert`` as local (the exploration variant).
 
-        Semantically this is exactly ``budget`` repetitions of
-        "peek; stop if non-local; step" — the compiled VM overrides it
-        with superinstruction execution whose per-instruction accounting
-        (steps, seq, coverage, step limit) is identical.
+        Semantically this is exactly ``budget`` repetitions of "stop if
+        the next instruction is non-local; step", with the same
+        per-instruction accounting (steps, seq, coverage, step limit).
         """
-        local = LOCAL_OPS_ASSERT if with_assert else LOCAL_OPS
+        thread = self.threads[tid]
+        if thread.status is not _RUNNABLE or not thread.frames:
+            return 0
+        # Local instructions never push or pop a frame.
+        frame = thread.frames[-1]
+        code = frame.handlers
+        if code is None:
+            code = frame.handlers = self._code_for(frame.fn)
+        local = code.local_assert if with_assert else code.local
+        closures = code.closures
+        label_of = code.label_of
+        coverage = self.coverage
+        max_steps = self.max_steps
         executed = 0
-        step = self.step
-        peek = self.peek
         while executed < budget:
-            nxt = peek(tid)
-            if nxt is None or nxt.__class__ not in local:
+            ip = frame.ip
+            if not local[ip]:
                 break
-            step(tid)
+            self.steps += 1
+            if self.steps > max_steps:
+                raise StepLimitExceeded(
+                    "execution exceeded %d steps" % max_steps)
+            self.seq += 1
+            if coverage is not None:
+                coverage.add(label_of[ip])
+            closures[ip](self, thread, frame)
             executed += 1
         return executed
 
@@ -340,84 +366,8 @@ class VM:
         thread.top.ip += 1
 
     # ------------------------------------------------------------------
-    # Instruction dispatch
-    #
-    # Handlers are resolved once per function (not per step, and not via
-    # an isinstance chain): ``_handlers_for`` maps a function body to a
-    # parallel list of bound-method slots, cached on the frame.
-
-    def _handlers_for(self, fn) -> list:
-        handlers = self._fn_handlers.get(fn.name)
-        if handlers is None:
-            table = _DISPATCH
-            try:
-                handlers = [table[instr.__class__] for instr in fn.body]
-            except KeyError:
-                bad = next(i for i in fn.body if i.__class__ not in table)
-                raise InterpreterError("unknown instruction %r" % (bad,))
-            self._fn_handlers[fn.name] = handlers
-        return handlers
-
-    def _exec_const(self, thread, frame, instr) -> None:
-        frame.regs[instr.dst.name] = instr.value
-        frame.ip += 1
-
-    def _exec_mov(self, thread, frame, instr) -> None:
-        frame.regs[instr.dst.name] = self._value(instr.src, frame)
-        frame.ip += 1
-
-    def _exec_binop(self, thread, frame, instr) -> None:
-        a = self._value(instr.a, frame)
-        b = self._value(instr.b, frame)
-        frame.regs[instr.dst.name] = _apply_binop(instr.binop, a, b)
-        frame.ip += 1
-
-    def _exec_unop(self, thread, frame, instr) -> None:
-        a = self._value(instr.a, frame)
-        frame.regs[instr.dst.name] = _apply_unop(instr.unop, a)
-        frame.ip += 1
-
-    def _exec_load(self, thread, frame, instr) -> None:
-        tid = thread.tid
-        addr = self._value(instr.addr, frame)
-        self.memory.check(addr, "load", tid, instr.label)
-        hit, value = self.model.read(tid, addr, instr.label)
-        if not hit:
-            value = self.memory.read(addr)
-        frame.regs[instr.dst.name] = value
-        frame.ip += 1
-
-    def _exec_store(self, thread, frame, instr) -> None:
-        addr = self._value(instr.addr, frame)
-        value = self._value(instr.src, frame)
-        self.model.write(thread.tid, addr, value, instr.label)
-        frame.ip += 1
-
-    def _exec_cas(self, thread, frame, instr) -> None:
-        tid = thread.tid
-        addr = self._value(instr.addr, frame)
-        expected = self._value(instr.expected, frame)
-        new = self._value(instr.new, frame)
-        self.model.pre_cas(tid, addr, instr.label)
-        self.memory.check(addr, "cas", tid, instr.label)
-        if self.memory.read(addr) == expected:
-            self.memory.write(addr, new)
-            frame.regs[instr.dst.name] = 1
-        else:
-            frame.regs[instr.dst.name] = 0
-        frame.ip += 1
-
-    def _exec_fence(self, thread, frame, instr) -> None:
-        self.model.fence(thread.tid, instr.kind)
-        frame.ip += 1
-
-    def _exec_br(self, thread, frame, instr) -> None:
-        frame.ip = frame.fn.index_of(instr.target)
-
-    def _exec_cbr(self, thread, frame, instr) -> None:
-        cond = self._value(instr.cond, frame)
-        target = instr.then_target if cond else instr.else_target
-        frame.ip = frame.fn.index_of(target)
+    # Handlers for the instructions that reshape frames or threads.  The
+    # compiled closures for these delegate here (see :data:`DELEGATED`).
 
     def _exec_fork(self, thread, frame, instr) -> None:
         args = [self._value(a, frame) for a in instr.args]
@@ -445,10 +395,6 @@ class VM:
             self._blocked_join[thread.tid] = target_tid
             self._enabled = None
 
-    def _exec_selfid(self, thread, frame, instr) -> None:
-        frame.regs[instr.dst.name] = thread.tid
-        frame.ip += 1
-
     def _exec_pagealloc(self, thread, frame, instr) -> None:
         size = self._value(instr.size, frame)
         frame.regs[instr.dst.name] = self.memory.pagealloc(size)
@@ -457,20 +403,6 @@ class VM:
     def _exec_pagefree(self, thread, frame, instr) -> None:
         addr = self._value(instr.addr, frame)
         self.memory.pagefree(addr)
-        frame.ip += 1
-
-    def _exec_addrof(self, thread, frame, instr) -> None:
-        frame.regs[instr.dst.name] = self.memory.global_addr[instr.sym.name]
-        frame.ip += 1
-
-    def _exec_assert(self, thread, frame, instr) -> None:
-        if not self._value(instr.cond, frame):
-            raise AssertionViolation(
-                instr.message or "assertion failed",
-                tid=thread.tid, label=instr.label)
-        frame.ip += 1
-
-    def _exec_nop(self, thread, frame, instr) -> None:
         frame.ip += 1
 
     def _do_call(self, thread: Thread, frame: Frame, instr: ins.Call) -> None:
@@ -503,84 +435,13 @@ class VM:
         caller.ip += 1
 
 
-# ----------------------------------------------------------------------
-# Dispatch table: instruction class → VM handler.  Built once at import;
-# ``_handlers_for`` specialises it into per-function lists.
-
-_DISPATCH = {
-    ins.ConstInstr: VM._exec_const,
-    ins.Mov: VM._exec_mov,
-    ins.BinOp: VM._exec_binop,
-    ins.UnOp: VM._exec_unop,
-    ins.Load: VM._exec_load,
-    ins.Store: VM._exec_store,
-    ins.Cas: VM._exec_cas,
-    ins.Fence: VM._exec_fence,
-    ins.Br: VM._exec_br,
-    ins.Cbr: VM._exec_cbr,
+#: Instruction class → VM handler, for the instructions whose compiled
+#: closure delegates to the VM (:func:`repro.vm.compile._compile_delegate`).
+DELEGATED = {
     ins.Call: VM._do_call,
     ins.Ret: VM._do_ret,
     ins.Fork: VM._exec_fork,
     ins.Join: VM._exec_join,
-    ins.SelfId: VM._exec_selfid,
     ins.PageAlloc: VM._exec_pagealloc,
     ins.PageFree: VM._exec_pagefree,
-    ins.AddrOf: VM._exec_addrof,
-    ins.Assert: VM._exec_assert,
-    ins.Nop: VM._exec_nop,
 }
-
-
-# ----------------------------------------------------------------------
-# Operator evaluation (C-like semantics on Python ints)
-
-def _apply_binop(op: str, a: int, b: int) -> int:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise InterpreterError("division by zero")
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if op == "mod":
-        if b == 0:
-            raise InterpreterError("modulo by zero")
-        q = abs(a) % abs(b)
-        return q if a >= 0 else -q
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return a << b
-    if op == "shr":
-        return a >> b
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op == "lt":
-        return int(a < b)
-    if op == "le":
-        return int(a <= b)
-    if op == "gt":
-        return int(a > b)
-    if op == "ge":
-        return int(a >= b)
-    raise InterpreterError("unknown binary operator %r" % op)
-
-
-def _apply_unop(op: str, a: int) -> int:
-    if op == "neg":
-        return -a
-    if op == "not":
-        return int(a == 0)
-    if op == "bnot":
-        return ~a
-    raise InterpreterError("unknown unary operator %r" % op)

@@ -33,7 +33,7 @@ class Frame:
         self.ip = 0                     # index into fn.body
         self.ret_dst = ret_dst          # register in the caller's frame
         self.op_record = op_record      # history record to complete on return
-        self.handlers = None            # per-function dispatch cache (VM)
+        self.handlers = None            # compiled body cache (VM)
 
     def clone(self, opmap: Optional[Dict[int, Operation]] = None) -> "Frame":
         """Deep-enough copy for VM snapshots: registers are copied, the
@@ -51,6 +51,15 @@ class Frame:
         frame.op_record = record
         frame.handlers = self.handlers
         return frame
+
+    def __getstate__(self):
+        # The compiled body holds closures, which do not pickle; it is
+        # code, not execution state, and the VM rebuilds it on demand.
+        return self.fn, self.regs, self.ip, self.ret_dst, self.op_record
+
+    def __setstate__(self, state) -> None:
+        self.fn, self.regs, self.ip, self.ret_dst, self.op_record = state
+        self.handlers = None
 
     def __repr__(self) -> str:
         return "<Frame %s ip=%d>" % (self.fn.name, self.ip)

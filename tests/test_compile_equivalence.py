@@ -1,17 +1,19 @@
-"""Differential validation of the closure-compiled VM backend.
+"""Differential validation of the closure-compiled VM.
 
-:class:`repro.vm.compile.CompiledVM` must be observationally identical to
-the generic interpreter in :mod:`repro.vm.interp` — same outcomes, same
-operation histories, same ``avoid(p)`` predicates, same step/seq/flush
-counters, same coverage sets, and (through the engine) the same
-synthesized fences.  The interpreter is the audited reference; these
-tests are what make the compiled backend trustworthy.
+:class:`repro.vm.interp.VM`, which runs closure-compiled bodies, must be
+observationally identical to the generic interpreter kept in
+``tests/reference_vm.py`` — same outcomes, same operation histories, same
+``avoid(p)`` predicates, same step/seq/flush counters, same coverage
+sets, and (through the engine) the same synthesized fences.  The
+interpreter is the audited reference; these tests are what make the
+compiled VM trustworthy.
 
 The fast subset runs in every tier-1 invocation; the full sweep (whole
 litmus catalog, corpus reproducers, fresh fuzz programs per model) is
 ``slow``-marked and runs in CI's explore-equivalence job.
 """
 
+import contextlib
 import glob
 import os
 
@@ -29,12 +31,13 @@ from repro.spec import MemorySafetySpec
 from repro.synth import SynthesisConfig, SynthesisEngine
 from repro.vm.compile import (
     COMPILE_STATS,
-    CompiledVM,
     code_for,
     compile_stats_delta,
     make_vm,
 )
 from repro.vm.driver import run_execution
+from repro.vm.interp import VM
+from tests.reference_vm import ReferenceVM, reference_vms
 
 MODELS = ["sc", "tso", "pso"]
 FAST_LITMUS = ["sb", "mp", "coww", "sb_one_fence"]
@@ -90,6 +93,11 @@ int main() {
 # ----------------------------------------------------------------------
 # Fingerprints
 
+#: The two legs of every comparison, reference first: each is a context
+#: manager under which ``make_vm`` builds that leg's VM.
+LEGS = (reference_vms, contextlib.nullcontext)
+
+
 def _result_fingerprint(result):
     """Everything observable about one execution, as plain tuples."""
     history = tuple(
@@ -106,17 +114,19 @@ def _result_fingerprint(result):
 def assert_executions_equivalent(module, model_name, operations=(),
                                  seeds=range(EXEC_SEEDS),
                                  flush_prob=0.4):
-    """Seed-for-seed, the two backends produce identical executions."""
+    """Seed-for-seed, the VM and the reference produce identical
+    executions."""
     for seed in seeds:
         prints = []
-        for compiled in (False, True):
+        for leg in LEGS:
             scheduler = FlushDelayScheduler(seed=seed,
                                             flush_prob=flush_prob)
             coverage = set()
-            result = run_execution(
-                module, make_model(model_name), scheduler,
-                operations=operations, coverage=coverage,
-                max_steps=20_000, compiled=compiled)
+            with leg():
+                result = run_execution(
+                    module, make_model(model_name), scheduler,
+                    operations=operations, coverage=coverage,
+                    max_steps=20_000)
             prints.append((_result_fingerprint(result),
                            frozenset(coverage)))
         assert prints[0] == prints[1], (model_name, seed)
@@ -124,12 +134,13 @@ def assert_executions_equivalent(module, model_name, operations=(),
 
 def assert_explorations_equivalent(module, model_name, max_paths=60_000,
                                    max_steps=2_000):
-    """Exhaustive enumeration agrees path-for-path across backends."""
+    """Exhaustive enumeration agrees path-for-path on both legs."""
     runs = []
-    for compiled in (False, True):
-        runs.append(explore(module, model_name, outcome_fn=thread_results,
-                            max_paths=max_paths, max_steps=max_steps,
-                            compiled=compiled))
+    for leg in LEGS:
+        with leg():
+            runs.append(explore(module, model_name,
+                                outcome_fn=thread_results,
+                                max_paths=max_paths, max_steps=max_steps))
     base, new = runs
     assert new.complete == base.complete, model_name
     assert new.outcomes == base.outcomes, model_name
@@ -165,12 +176,13 @@ def test_litmus_explorations_match(name, model):
 def test_synthesized_fences_match(model, source):
     """The whole engine — rounds, clauses, placements — is backend-blind."""
     results = []
-    for compiled in (False, True):
+    for leg in LEGS:
         engine = SynthesisEngine(SynthesisConfig(
             memory_model=model, flush_prob=0.3, executions_per_round=200,
-            max_rounds=6, seed=7, compiled=compiled))
+            max_rounds=6, seed=7))
         module = compile_source(source, "prog")
-        result = engine.synthesize(module, MemorySafetySpec())
+        with leg():
+            result = engine.synthesize(module, MemorySafetySpec())
         results.append((
             result.outcome,
             result.total_executions,
@@ -216,7 +228,8 @@ def test_fence_insertion_recompiles_only_repaired_function():
 
 
 def test_repaired_module_executes_identically():
-    """After a fence lands, both backends see the repaired body."""
+    """After a fence lands, the VM and the reference see the repaired
+    body."""
     module = compile_source(SB_SOURCE, "sb")
     store_label = next(i.label for i in module.functions["main"].body
                        if isinstance(i, Store))
@@ -225,13 +238,13 @@ def test_repaired_module_executes_identically():
         assert_executions_equivalent(module, model, seeds=range(4))
 
 
-def test_compiled_backend_fuses_superinstructions():
-    """Sanity: the microbenchmark claim rests on fusion happening."""
-    module = compile_source(OP_SOURCE, "ops")
-    vm = make_vm(module, make_model("sc"), compiled=True, max_steps=500)
-    assert isinstance(vm, CompiledVM)
-    code = vm._code_for(module.functions["main"])
-    assert any(n > 1 for n in code.ops)
+@pytest.mark.parametrize("backend,expected",
+                         [("compiled", VM), ("interpreted", ReferenceVM)],
+                         indirect=["backend"])
+def test_backend_fixture_selects_the_vm(backend, expected):
+    """Sanity: the two legs really build different VMs."""
+    vm = make_vm(compile_source(OP_SOURCE, "ops"), make_model("sc"))
+    assert type(vm) is expected
 
 
 # ----------------------------------------------------------------------

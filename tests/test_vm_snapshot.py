@@ -5,15 +5,20 @@ restoring it (any number of times) must reproduce the exact behaviour of
 a fresh run replayed to the same point, under every memory model.
 """
 
+import pickle
 import random
 
 import pytest
 
+from repro.litmus import LITMUS_TESTS, thread_results
 from repro.memory.models import make_model
 from repro.minic import compile_source
-from repro.vm.compile import CompiledVM, make_vm
-from repro.vm.interp import LOCAL_OPS, VM
+from repro.obs import Recorder
+from repro.sched.explorer import explore
+from repro.vm.compile import LOCAL_OPS, make_vm
+from repro.vm.interp import VM
 from repro.vm.state import ThreadStatus
+from tests.reference_vm import BACKENDS, ReferenceVM
 
 SB_SOURCE = """
 int X; int Y;
@@ -170,42 +175,14 @@ def test_history_cloned_with_inflight_operations():
 
 
 # ----------------------------------------------------------------------
-# Compiled backend (repro.vm.compile): snapshots must stay valid across
-# closure-compiled execution, including fused superinstruction runs.
-
-FUSED_SOURCE = """
-int X;
-int main() {
-  int a = 1;
-  int b = 2;
-  int c = a + b;
-  int d = c * 3;
-  int e = d - a;
-  X = e;
-  return e + c;
-}
-"""
-
-
-def _run_local_to_end(vm):
-    """Finish the run preferring bulk run_local bursts (fused path)."""
-    while True:
-        enabled = vm.enabled_tids()
-        if enabled:
-            tid = enabled[0]
-            if not vm.run_local(tid, 1_000):
-                vm.step(tid)
-        elif vm.tids_with_pending():
-            vm.flush_one(vm.tids_with_pending()[0])
-        else:
-            return tuple(vm.threads[tid].result for tid in sorted(vm.threads))
-
+# Snapshots through make_vm, and against the reference interpreter
+# (tests/reference_vm.py).
 
 @pytest.mark.parametrize("model", MODELS)
 def test_compiled_snapshot_restore_roundtrip(model):
     module = compile_source(SB_SOURCE, "sb")
-    vm = make_vm(module, make_model(model), compiled=True, max_steps=500)
-    assert isinstance(vm, CompiledVM)
+    vm = make_vm(module, make_model(model), max_steps=500)
+    assert type(vm) is VM
     _drive(vm, 6)
     snap = vm.snapshot()
     before = _observable_state(vm)
@@ -218,44 +195,16 @@ def test_compiled_snapshot_restore_roundtrip(model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_compiled_and_interpreted_snapshots_agree(model):
-    """Step-for-step, both backends expose the same observable state."""
+    """Step-for-step, the VM and the reference interpreter expose the
+    same observable state."""
     module = compile_source(SB_SOURCE, "sb")
-    vms = [make_vm(module, make_model(model), compiled=c, max_steps=500)
-           for c in (False, True)]
+    vms = [cls(module, make_model(model), max_steps=500)
+           for cls in (ReferenceVM, VM)]
     for _ in range(6):
         for vm in vms:
             _drive(vm, 1)
         assert _observable_state(vms[0]) == _observable_state(vms[1])
     assert _run_to_end(vms[0]) == _run_to_end(vms[1])
-
-
-def test_restore_mid_superinstruction_resumes_singly():
-    """A snapshot taken at an interior offset of a fused run must restore
-    and continue correctly: every offset keeps a single-op closure, so
-    the burst loop re-enters the run one op at a time."""
-    module = compile_source(FUSED_SOURCE, "fused")
-    vm = make_vm(module, make_model("sc"), compiled=True, max_steps=500)
-    code = vm._code_for(module.functions["main"])
-    head = next(i for i, n in enumerate(code.ops) if n > 1)
-    interior = head + 1  # inside the fused run, not at its head
-
-    guard = 0
-    while vm.threads[0].top.ip != interior:
-        vm.step(0)
-        guard += 1
-        assert guard < 50, "never reached the fused run interior"
-    snap = vm.snapshot()
-    before = _observable_state(vm)
-
-    first = _run_local_to_end(vm)
-    vm.restore(snap)
-    assert _observable_state(vm) == before
-    second = _run_local_to_end(vm)
-    assert second == first
-
-    # And a plain single-step continuation agrees too.
-    vm.restore(snap)
-    assert _run_to_end(vm) == first
 
 
 @pytest.mark.parametrize("model", ["tso", "pso"])
@@ -322,13 +271,12 @@ def _scan_pending(vm):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("compiled", [True, False],
-                         ids=["compiled", "interpreted"])
-def test_cached_scheduling_lists_stay_coherent(compiled, model, seed):
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_cached_scheduling_lists_stay_coherent(backend, model, seed):
     rng = random.Random(seed)
     module = compile_source(FORK_JOIN_SOURCE, "forkjoin")
-    vm = make_vm(module, make_model(model), compiled=compiled,
-                 max_steps=100_000)
+    vm = make_vm(module, make_model(model), max_steps=100_000)
+    assert type(vm) is backend
     start = vm.snapshot()
     snaps = []
     handed_out = []  # (list object, copy at the time it was returned)
@@ -366,3 +314,37 @@ def test_cached_scheduling_lists_stay_coherent(compiled, model, seed):
             vm.restore(start)  # run finished: start it over
     assert ThreadStatus.BLOCKED_JOIN in seen
     assert ThreadStatus.FINISHED in seen
+
+
+# ----------------------------------------------------------------------
+# Snapshot size: frames cache their function's compiled closures, which
+# do not pickle; a snapshot must still pickle (without them) so the
+# explorer can report its size.
+
+def test_snapshot_pickles_without_compiled_code():
+    module = compile_source(SB_SOURCE, "sb")
+    vm = make_vm(module, make_model("tso"), max_steps=500)
+    _drive(vm, 4)
+    assert vm.threads[0].top.handlers is not None
+    snap = vm.snapshot()
+    frames = pickle.loads(pickle.dumps(snap.threads))
+    for tid, thread in frames.items():
+        for copy, frame in zip(thread.frames, snap.threads[tid].frames):
+            assert copy.handlers is None
+            assert (copy.fn.name, copy.regs, copy.ip) == \
+                (frame.fn.name, frame.regs, frame.ip)
+    before = _run_to_end(vm)
+    vm.restore(snap)
+    for thread in vm.threads.values():
+        for frame in thread.frames:
+            frame.handlers = None  # as an unpickled frame arrives
+    assert _run_to_end(vm) == before
+
+
+def test_explore_reports_snapshot_bytes():
+    recorder = Recorder()
+    result = explore(LITMUS_TESTS["sb"].compile(), "tso",
+                     outcome_fn=thread_results, recorder=recorder)
+    assert result.stats.snapshot_bytes > 0
+    histograms = recorder.snapshot()["histograms"]
+    assert "explore/snapshot_bytes" in histograms
