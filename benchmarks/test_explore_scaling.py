@@ -1,7 +1,7 @@
 """Explorer scaling — snapshot DFS + sleep-set POR vs the replay baseline.
 
 For each workload x model the benchmark times four engines on the same
-program: the replay-based reference DFS (``repro.sched.exhaustive``),
+program: the replay-based reference DFS (``tests/reference_explorer.py``),
 and the snapshot engine at every reduction level.  Every run must
 terminate with the *byte-identical* outcome set, so the numbers below
 are comparisons between provably-equivalent explorations, not between
@@ -9,6 +9,11 @@ different answers.  Reported per engine: paths explored, wall time,
 paths/second, the path-reduction ratio and wall-time speedup over the
 replay baseline.  Written to ``BENCH_explore.json`` at the repository
 root and a readable table to ``benchmarks/results/explore_scaling.txt``.
+The reference lives under ``tests/``, so run this with the repository
+root on ``PYTHONPATH`` as well as ``src``::
+
+    cd benchmarks
+    PYTHONPATH=../src:.:.. python -m pytest -q -s test_explore_scaling.py
 
 Wall times are machine-dependent; path counts are deterministic, and the
 reduction ratios are the acceptance-relevant shape: the 3-thread
@@ -27,8 +32,8 @@ from common import format_table, write_result
 
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.minic import compile_source
-from repro.sched.exhaustive import explore as explore_replay
 from repro.sched.explorer import REDUCTIONS, explore
+from tests.reference_explorer import explore as explore_replay
 
 pytestmark = [pytest.mark.slow]
 

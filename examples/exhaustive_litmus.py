@@ -2,10 +2,10 @@
 """Exact memory-model semantics via exhaustive schedule enumeration.
 
 Where `memory_model_explorer.py` samples schedules randomly, this example
-*enumerates* them: the stateless DFS explorer visits every interleaving
-and flush ordering of bounded litmus tests and prints the exact outcome
-sets each memory model admits — the ground truth the random scheduler is
-sampling from.
+*enumerates* them: the snapshot DFS explorer covers every interleaving
+and flush ordering of bounded litmus tests (skipping only commuted
+copies) and prints the exact outcome sets each memory model admits — the
+ground truth the random scheduler is sampling from.
 
 Run:  python examples/exhaustive_litmus.py
 """

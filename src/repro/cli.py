@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from .algorithms import ALGORITHMS
 from .minic import compile_source
-from .obs import ProgressReporter, Recorder, SpanTracer
+from .obs import NULL_RECORDER, ProgressReporter, Recorder, SpanTracer
 from .spec import (
     LinearizabilitySpec,
     MemorySafetySpec,
@@ -139,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: sleep+cache; every level yields "
                              "the same outcome set — 'none' mirrors the "
                              "replay baseline path-for-path)")
-    parser.add_argument("--explore-workers", type=_workers_arg,
-                        default=None, metavar="N",
-                        help="worker processes for --explore subtree "
-                             "fan-out (default: serial; 0 = one per CPU)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and append "
                              "the top-20 cumulative entries to the report")
@@ -176,10 +172,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
                         choices=["none", "sleep", "sleep+cache"],
                         help="partial-order reduction level for oracle "
                              "explorations (default: sleep+cache)")
-    parser.add_argument("--explore-workers", type=_workers_arg,
-                        default=None, metavar="N",
-                        help="worker processes per exploration (default: "
-                             "serial; 0 = one per CPU)")
     parser.add_argument("--corpus-dir", metavar="DIR",
                         help="write shrunk reproducers of failing seeds "
                              "into DIR (e.g. tests/corpus)")
@@ -220,7 +212,6 @@ def _fuzz(argv: List[str]) -> int:
     if args.max_total_paths is not None:
         oracle_kwargs["max_total_paths"] = args.max_total_paths
     oracle_kwargs["reduction"] = args.reduction
-    oracle_kwargs["explore_workers"] = args.explore_workers
 
     progress = None
     if args.verbose:
@@ -271,18 +262,19 @@ def _explore(args) -> int:
         raise SystemExit("--explore needs a MiniC file or a litmus name "
                          "(%s)" % ", ".join(sorted(LITMUS_TESTS)))
 
+    recorder = _make_recorder(args) or NULL_RECORDER
     truncated = []
     for model in ("sc", "tso", "pso"):
-        result = explore(module, model, outcome_fn=thread_results,
-                         max_paths=args.max_paths,
-                         reduction=args.reduction,
-                         workers=args.explore_workers)
+        with recorder.span("explore", model=model):
+            result = explore(module, model, outcome_fn=thread_results,
+                             max_paths=args.max_paths,
+                             reduction=args.reduction, recorder=recorder)
         status = "exact" if result.complete else "BUDGET EXHAUSTED"
         outcomes = ", ".join(str(o) for o in sorted(result.outcomes))
         print("%-4s (%6d paths, %s): %s"
               % (model.upper(), result.paths, status, outcomes))
         stats = result.stats
-        if stats is not None and stats.estimated_unreduced > stats.paths:
+        if stats.estimated_unreduced > stats.paths:
             print("     reduction: >=%d unreduced paths (%.1fx; "
                   "%d slept, %d cache hits)"
                   % (stats.estimated_unreduced,
@@ -292,6 +284,7 @@ def _explore(args) -> int:
             print("     violation: %s" % violation[:100])
         if not result.complete:
             truncated.append(model.upper())
+    _emit_observability(args, recorder)
     if truncated:
         print("warning: path budget (%d) exhausted under %s — those "
               "outcome sets are lower bounds, not exact; rerun with a "

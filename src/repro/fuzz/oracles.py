@@ -34,8 +34,7 @@ from ..ir.instructions import FenceKind
 from ..ir.module import Module
 from ..ir.passes.fences import insert_fence_after
 from ..memory.models import StoreBufferModel, make_model
-from ..sched.exhaustive import ExplorationResult
-from ..sched.explorer import explore
+from ..sched.explorer import ExplorationResult, explore
 from ..sched.flush_random import FlushDelayScheduler
 from ..spec.specifications import Specification
 from ..synth import SynthesisConfig, SynthesisEngine, SynthesisOutcome
@@ -140,8 +139,7 @@ class OracleConfig:
                  synth_flush_prob: Optional[Dict[str, float]] = None,
                  synth_flush_schedule: Tuple[float, ...] = (0.2, 0.5, 0.1),
                  model_factory: ModelFactory = make_model,
-                 reduction: str = "sleep+cache",
-                 explore_workers: Optional[int] = None) -> None:
+                 reduction: str = "sleep+cache") -> None:
         for model in models:
             if model == "sc":
                 raise ValueError("models lists relaxed models; SC is "
@@ -172,8 +170,6 @@ class OracleConfig:
         #: :data:`repro.sched.explorer.REDUCTIONS`).  All levels yield
         #: identical outcome sets; "none" mirrors the replay baseline.
         self.reduction = reduction
-        #: Processes for exploration subtree fan-out (None/1 = serial).
-        self.explore_workers = explore_workers
 
 
 class OracleReport:
@@ -260,12 +256,11 @@ class _Checker:
             module, model, outcome_fn=thread_results,
             max_paths=budget, max_steps=cfg.max_steps,
             model_factory=functools.partial(cfg.model_factory, model),
-            reduction=cfg.reduction, workers=cfg.explore_workers)
+            reduction=cfg.reduction)
         self.report.paths += result.paths
-        if result.stats is not None:
-            self.report.pruned += result.stats.pruned
-            self.report.cache_hits += result.stats.cache_hits
-            self.report.estimated_unreduced += result.stats.estimated_unreduced
+        self.report.pruned += result.stats.pruned
+        self.report.cache_hits += result.stats.cache_hits
+        self.report.estimated_unreduced += result.stats.estimated_unreduced
         if not result.complete:
             self.report.inconclusive.append((oracle, model))
             return None

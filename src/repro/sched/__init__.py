@@ -8,14 +8,11 @@ long and expose relaxed behaviours, high probabilities approach SC.
 """
 
 from .base import Scheduler
-from .exhaustive import ExplorationResult
-from .exhaustive import explore as explore_replay
-from .explorer import REDUCTIONS, ExploreStats, explore
+from .explorer import REDUCTIONS, ExplorationResult, ExploreStats, explore
 from .flush_random import FlushDelayScheduler
 from .replay import ReplayScheduler, TracingScheduler, Witness
 from .round_robin import RoundRobinScheduler
 
 __all__ = ["ExplorationResult", "ExploreStats", "FlushDelayScheduler",
            "REDUCTIONS", "ReplayScheduler", "RoundRobinScheduler",
-           "Scheduler", "TracingScheduler", "Witness", "explore",
-           "explore_replay"]
+           "Scheduler", "TracingScheduler", "Witness", "explore"]

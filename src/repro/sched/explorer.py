@@ -1,11 +1,14 @@
-"""Snapshot-based incremental DFS explorer with partial-order reduction.
+"""Exhaustive schedule exploration: snapshot DFS with partial-order reduction.
 
-The replay-based explorer in :mod:`repro.sched.exhaustive` re-executes the
-program from scratch for every path — O(depth) work per path.  This module
-walks the same choice tree by *fork-and-backtrack*: at each decision point
-with more than one live branch it captures a :class:`~repro.vm.interp.VMSnapshot`,
+The random flush-delaying scheduler samples the schedule space; this
+module *enumerates* it.  A schedule is a sequence of choices, each either
+"step thread t" or "flush one entry of (t, addr)".  The explorer walks
+the choice tree by *fork-and-backtrack*: at each decision point with more
+than one live branch it captures a :class:`~repro.vm.interp.VMSnapshot`,
 executes the first branch in place, and restores the snapshot for each
-sibling — one VM step per tree edge.
+sibling — one VM step per tree edge.  The replay-based DFS it replaced
+(re-run the program from scratch per path) is kept as the differential
+oracle in ``tests/reference_explorer.py``.
 
 On top of the incremental walk it layers two sound reductions:
 
@@ -26,9 +29,11 @@ On top of the incremental walk it layers two sound reductions:
 
 ``reduction`` selects the level: ``"none"`` (exact mirror of the replay
 tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
-(default).  ``workers`` > 1 additionally fans top-level subtrees out
-across processes (see :mod:`repro.parallel.explore`) with an
-index-ordered deterministic merge.
+(default).
+
+The search is exact but exponential — use it on litmus tests, toy
+programs and bounded clients, not on the Table-2 benchmarks.  It honours
+a path budget and reports whether it completed.
 
 Caveats (documented, not enforced): the state cache keys on threads,
 memory, buffers, and spawn counter — not on the step count — so if
@@ -45,17 +50,22 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from ..ir import instructions as ins
 from ..ir.module import Module
-from ..memory.models import make_model
+from ..memory.models import StoreBufferModel, make_model
 from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
 from ..vm.errors import SpecViolationError, StepLimitExceeded
 from ..vm.interp import VM, VMSnapshot
-from .exhaustive import (
-    ExplorationResult,
-    ModelFactory,
-    OutcomeFn,
-    _advance_local,
-)
+
+#: Builds a fresh memory-model instance.
+ModelFactory = Callable[[], StoreBufferModel]
+
+#: Outcome extractor: maps a finished VM to a hashable outcome.
+OutcomeFn = Callable[[VM], Tuple]
+
+#: Per-call budget handed to ``VM.run_local`` while advancing local
+#: instructions (the burst is repeated until no thread makes progress,
+#: so the value only bounds work per call, not total local progress).
+_LOCAL_BURST = 4096
 
 #: Supported reduction levels, weakest first.
 REDUCTIONS = ("none", "sleep", "sleep+cache")
@@ -74,11 +84,31 @@ _GLOBAL_FP: Footprint = (True, _EMPTY, _EMPTY)
 _LOCAL_FP: Footprint = (False, _EMPTY, _EMPTY)
 
 
+class ExplorationResult:
+    """Outcome set of an exhaustive exploration, with its
+    :class:`ExploreStats` in ``stats``."""
+
+    def __init__(self, outcomes: Set[Tuple], paths: int,
+                 complete: bool, violations: Set[str],
+                 stats=None) -> None:
+        self.outcomes = outcomes
+        self.paths = paths
+        self.complete = complete
+        self.violations = violations
+        self.stats = stats
+
+    def __repr__(self) -> str:
+        return "<ExplorationResult %d outcomes, %d paths%s, %d violations>" \
+            % (len(self.outcomes), self.paths,
+               "" if self.complete else " (budget hit)",
+               len(self.violations))
+
+
 class ExploreStats:
     """Reduction and snapshot counters for one exploration."""
 
     __slots__ = ("paths", "pruned", "cache_hits", "cache_states",
-                 "snapshots", "restores", "snapshot_bytes", "subtrees")
+                 "snapshots", "restores", "snapshot_bytes")
 
     def __init__(self) -> None:
         self.paths = 0            # leaves reached (terminal/violation/limit)
@@ -88,18 +118,6 @@ class ExploreStats:
         self.snapshots = 0
         self.restores = 0
         self.snapshot_bytes = 0   # pickled size of the first snapshot taken
-        self.subtrees = 0         # parallel fan-out tasks (0 = serial)
-
-    def merge(self, other: "ExploreStats") -> None:
-        self.paths += other.paths
-        self.pruned += other.pruned
-        self.cache_hits += other.cache_hits
-        self.cache_states += other.cache_states
-        self.snapshots += other.snapshots
-        self.restores += other.restores
-        if self.snapshot_bytes == 0:
-            self.snapshot_bytes = other.snapshot_bytes
-        self.subtrees += other.subtrees
 
     @property
     def estimated_unreduced(self) -> int:
@@ -107,23 +125,31 @@ class ExploreStats:
         branch and cache hit stands for at least one whole subtree."""
         return self.paths + self.pruned + self.cache_hits
 
-    def as_dict(self) -> dict:
-        return {
-            "paths": self.paths,
-            "pruned_branches": self.pruned,
-            "cache_hits": self.cache_hits,
-            "cache_states": self.cache_states,
-            "snapshots": self.snapshots,
-            "restores": self.restores,
-            "snapshot_bytes": self.snapshot_bytes,
-            "subtrees": self.subtrees,
-            "estimated_unreduced": self.estimated_unreduced,
-        }
-
     def __repr__(self) -> str:
         return ("<ExploreStats paths=%d pruned=%d cache_hits=%d "
                 "snapshots=%d>" % (self.paths, self.pruned,
                                    self.cache_hits, self.snapshots))
+
+
+def _advance_local(vm: VM) -> None:
+    """Eagerly run register-only instructions of every thread.
+
+    Local steps commute with all other threads' actions, so executing
+    them without branching preserves the reachable outcome set while
+    collapsing the search tree (the explorer's partial-order reduction).
+    Each thread's local run is executed to completion before moving to
+    the next thread (rather than one op per thread round-robin) — the
+    commutativity that justifies the reduction also makes the two orders
+    reach the same state at every decision point, and one
+    :meth:`~repro.vm.interp.VM.run_local` call per thread covers a whole
+    run.
+    """
+    progress = True
+    while progress:
+        progress = False
+        for tid in vm.enabled_tids():
+            if vm.run_local(tid, _LOCAL_BURST, with_assert=True):
+                progress = True
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +197,8 @@ Option = Tuple[Tuple, Tuple, Footprint]
 
 
 def _options(vm: VM) -> List[Option]:
-    """Branch options in the exact order of the replay baseline's
-    ``_decision_options`` (enabled tids ascending, then flushes)."""
+    """Branch options in the replay DFS's order: enabled tids ascending,
+    then flushes."""
     opts: List[Option] = []
     for tid in vm.enabled_tids():
         ident = ("step", tid)
@@ -246,14 +272,14 @@ class _Search:
         self.violations = violations
         self.stack: List[_Node] = []
 
-    def run(self, sleep: Dict[Tuple, Footprint]) -> bool:
-        """Explore the subtree rooted at the VM's current state.
+    def run(self) -> bool:
+        """Explore the tree rooted at the VM's current state.
 
-        Returns True iff the subtree was fully explored within budget.
+        Returns True iff the tree was fully explored within budget.
         """
         vm = self.vm
         stats = self.stats
-        if not self._root(sleep):
+        if not self._root():
             return True
         stack = self.stack
         while stack:
@@ -279,7 +305,7 @@ class _Search:
                 self._visit(child_sleep)
         return True
 
-    def _root(self, sleep: Dict[Tuple, Footprint]) -> bool:
+    def _root(self) -> bool:
         """Advance local steps and open the root node.  Returns False if
         the root itself is a leaf (nothing pushed)."""
         try:
@@ -291,7 +317,7 @@ class _Search:
         except StepLimitExceeded:
             self.stats.paths += 1
             return False
-        self._visit(dict(sleep))
+        self._visit({})
         return bool(self.stack)
 
     def _edge(self, choice: Tuple) -> bool:
@@ -368,123 +394,6 @@ def _snapshot_size(snap: VMSnapshot) -> int:
 # ----------------------------------------------------------------------
 # Entry points
 
-def _make_outcome_fn(outcome_globals: Sequence[str]) -> OutcomeFn:
-    def outcome_fn(vm: VM) -> Tuple:
-        return tuple(vm.memory.read(vm.memory.global_addr[g])
-                     for g in outcome_globals)
-    return outcome_fn
-
-
-def _replay_prefix(vm: VM, prefix: Sequence[int]) -> None:
-    """Drive *vm* down a recorded choice-index prefix (parallel workers
-    and frontier expansion).  Raises like normal execution."""
-    _advance_local(vm)
-    for index in prefix:
-        options = _options(vm)
-        if index >= len(options):
-            raise RuntimeError(
-                "stale subtree prefix: index %d of %d options — "
-                "deterministic replay diverged" % (index, len(options)))
-        choice = options[index][0]
-        if choice[0] == "step":
-            vm.step(choice[1])
-        else:
-            vm.flush_one(choice[1], choice[2])
-        _advance_local(vm)
-
-
-def explore_subtree(module: Module, model_factory: Optional[ModelFactory],
-                    model_name: str, entry: str,
-                    outcome_fn: Optional[OutcomeFn],
-                    outcome_globals: Sequence[str],
-                    prefix: Sequence[int],
-                    sleep_items: Sequence[Tuple[Tuple, Footprint]],
-                    reduction: str, max_paths: int, max_steps: int):
-    """Explore one subtree (identified by a choice-index prefix) to
-    completion.  This is the unit of work shipped to parallel workers;
-    it is also used in-process for the picklability fallback.
-
-    Returns ``(outcomes, violations, paths, complete, stats)``.
-    """
-    if model_factory is None:
-        def model_factory():
-            return make_model(model_name)
-    if outcome_fn is None:
-        outcome_fn = _make_outcome_fn(outcome_globals)
-    stats = ExploreStats()
-    outcomes: Set[Tuple] = set()
-    violations: Set[str] = set()
-    vm = make_vm(module, model_factory(), entry=entry, max_steps=max_steps)
-    try:
-        _replay_prefix(vm, prefix)
-    except SpecViolationError as exc:
-        violations.add(str(exc))
-        stats.paths += 1
-        return outcomes, violations, stats.paths, True, stats
-    except StepLimitExceeded:
-        stats.paths += 1
-        return outcomes, violations, stats.paths, True, stats
-    cache = {} if reduction == "sleep+cache" else None
-    search = _Search(vm, outcome_fn, max_paths, reduction != "none",
-                     cache, stats, outcomes, violations)
-    complete = search.run(dict(sleep_items))
-    return outcomes, violations, stats.paths, complete, stats
-
-
-def _expand_frontier(module: Module, model_factory: ModelFactory,
-                     entry: str, outcome_fn: OutcomeFn, max_steps: int,
-                     target: int, max_depth: int, use_sleep: bool,
-                     stats: ExploreStats, outcomes: Set[Tuple],
-                     violations: Set[str]):
-    """Breadth-first expand the top of the choice tree into >= *target*
-    subtree tasks (or fewer if the tree is small).
-
-    Shallow leaves are folded directly into ``outcomes``/``violations``.
-    Returns a list of ``(prefix, sleep_items)`` tasks in deterministic
-    left-to-right tree order.
-    """
-    tasks: List[Tuple[Tuple[int, ...], Tuple]] = []
-    queue: List[Tuple[Tuple[int, ...], Tuple]] = [((), ())]
-    while queue:
-        prefix, sleep_items = queue.pop(0)
-        if (len(tasks) + len(queue) + 1 >= target
-                or len(prefix) >= max_depth):
-            tasks.append((prefix, sleep_items))
-            continue
-        vm = make_vm(module, model_factory(), entry=entry,
-                     max_steps=max_steps)
-        try:
-            _replay_prefix(vm, prefix)
-        except SpecViolationError as exc:
-            violations.add(str(exc))
-            stats.paths += 1
-            continue
-        except StepLimitExceeded:
-            stats.paths += 1
-            continue
-        options = _options(vm)
-        if not options:
-            outcomes.add(outcome_fn(vm))
-            stats.paths += 1
-            continue
-        sleep: Dict[Tuple, Footprint] = dict(sleep_items)
-        if sleep:
-            branch = [(i, o) for i, o in enumerate(options)
-                      if o[1] not in sleep]
-            stats.pruned += len(options) - len(branch)
-        else:
-            branch = list(enumerate(options))
-        for i, (_choice, ident, fp) in branch:
-            if use_sleep:
-                child = tuple((i2, f2) for i2, f2 in sleep.items()
-                              if not _conflict(f2, fp))
-                queue.append((prefix + (i,), child))
-                sleep[ident] = fp
-            else:
-                queue.append((prefix + (i,), ()))
-    return tasks
-
-
 def explore(module: Module, model_name: str = "sc", entry: str = "main",
             outcome_globals: Sequence[str] = (),
             outcome_fn: Optional[OutcomeFn] = None,
@@ -492,19 +401,20 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             max_steps: int = 2_000,
             model_factory: Optional[ModelFactory] = None,
             reduction: str = "sleep+cache",
-            workers: Optional[int] = None,
             recorder=NULL_RECORDER) -> ExplorationResult:
     """Enumerate schedules of *module* under *model_name*.
 
-    Drop-in replacement for :func:`repro.sched.exhaustive.explore` with
-    the same outcome/violation semantics; ``reduction="none"`` visits the
-    identical tree (identical ``paths`` count) one VM step per edge.
-    The result carries an :class:`ExploreStats` in ``.stats``.
+    Outcomes are tuples of the named globals' final values (or whatever
+    ``outcome_fn`` extracts).  Paths that crash with a spec violation are
+    collected separately in ``violations``.  ``reduction="none"`` visits
+    the replay DFS's tree (identical ``paths`` count) one VM step per
+    edge.  The result carries an :class:`ExploreStats` in ``.stats``.
 
-    ``workers``: ``None``/``1`` explores serially; ``n > 1`` splits
-    top-level subtrees across ``n`` processes; ``0`` means one per CPU.
-    Parallel runs fall back to serial transparently when the module,
-    model factory, or outcome function cannot be pickled.
+    ``model_factory`` overrides how the memory model is built (default:
+    ``make_model(model_name)``).  The differential fuzzing oracles use it
+    to run the explorer against deliberately broken model variants; the
+    factory's models must keep the ``name`` of the model family they
+    mimic, since flush-choice enumeration keys on it.
     """
     if reduction not in REDUCTIONS:
         raise ValueError("unknown reduction %r (expected one of %s)"
@@ -515,30 +425,18 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     if max_paths <= 0:
         return ExplorationResult(outcomes, 0, False, violations, stats=stats)
 
-    from ..parallel.explore import plan_workers, run_parallel
-    count = plan_workers(workers)
-    if count > 1:
-        # Pass the *user's* factory/outcome_fn (possibly None) through:
-        # workers rebuild the defaults locally, so default explorations
-        # stay picklable.
-        result = run_parallel(
-            module, model_factory, model_name, entry, outcome_fn,
-            outcome_globals, reduction, max_paths, max_steps, count,
-            stats, outcomes, violations)
-        if result is not None:
-            recorder.explore(stats)
-            return result
-
     if model_factory is None:
         def model_factory():
             return make_model(model_name)
     if outcome_fn is None:
-        outcome_fn = _make_outcome_fn(outcome_globals)
+        def outcome_fn(vm: VM) -> Tuple:
+            return tuple(vm.memory.read(vm.memory.global_addr[g])
+                         for g in outcome_globals)
     vm = make_vm(module, model_factory(), entry=entry, max_steps=max_steps)
     cache = {} if reduction == "sleep+cache" else None
     search = _Search(vm, outcome_fn, max_paths, reduction != "none",
                      cache, stats, outcomes, violations)
-    complete = search.run({})
+    complete = search.run()
     recorder.explore(stats)
     return ExplorationResult(outcomes, stats.paths, complete, violations,
                              stats=stats)

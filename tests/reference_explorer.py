@@ -1,4 +1,4 @@
-"""Exhaustive schedule exploration for litmus-sized programs.
+"""The replay-based DFS explorer: the differential-testing reference.
 
 The random flush-delaying scheduler samples the schedule space; this
 module *enumerates* it.  A schedule is a sequence of choices, each either
@@ -8,80 +8,32 @@ the program from scratch following a choice prefix, then branches on
 every decision point past the prefix (the standard replay-based DFS used
 by stateless model checkers).
 
-This is exact but exponential — use it on litmus tests and toy programs
-to validate the memory-model semantics (see tests/test_exhaustive.py),
-not on the Table-2 benchmarks.  The search honours a path budget and
-reports whether it completed.
+The shipped explorer, :func:`repro.sched.explorer.explore`, walks the
+same tree with VM snapshots and layers sleep sets and a state cache on
+top.  This module is the simple engine it must agree with: same
+outcomes, violations and completeness at every reduction level, and the
+same path count at ``reduction="none"`` (``tests/test_explore_equivalence.py``,
+``benchmarks/test_explore_scaling.py``).  It is exact but exponential.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from ..ir.module import Module
-from ..memory.models import StoreBufferModel, make_model
-from ..vm.compile import make_vm
-from ..vm.errors import SpecViolationError, StepLimitExceeded
-from ..vm.interp import VM
-
-#: Builds a fresh memory-model instance for one explored path.
-ModelFactory = Callable[[], StoreBufferModel]
-
-#: Per-call budget handed to ``VM.run_local`` while advancing local
-#: instructions (the burst is repeated until no thread makes progress,
-#: so the value only bounds work per call, not total local progress).
-_LOCAL_BURST = 4096
+from repro.ir.module import Module
+from repro.memory.models import make_model
+from repro.sched.explorer import (
+    ExplorationResult,
+    ModelFactory,
+    OutcomeFn,
+    _advance_local,
+)
+from repro.vm.compile import make_vm
+from repro.vm.errors import SpecViolationError, StepLimitExceeded
+from repro.vm.interp import VM
 
 #: A choice: ("step", tid) or ("flush", tid, addr_or_None).
 Choice = Tuple
-
-#: Outcome extractor: maps a finished VM to a hashable outcome.
-OutcomeFn = Callable[[VM], Tuple]
-
-
-class ExplorationResult:
-    """Outcome set of an exhaustive exploration.
-
-    ``stats`` is ``None`` for the replay baseline; the snapshot explorer
-    (:mod:`repro.sched.explorer`) attaches an
-    :class:`~repro.sched.explorer.ExploreStats` with reduction counters.
-    """
-
-    def __init__(self, outcomes: Set[Tuple], paths: int,
-                 complete: bool, violations: Set[str],
-                 stats=None) -> None:
-        self.outcomes = outcomes
-        self.paths = paths
-        self.complete = complete
-        self.violations = violations
-        self.stats = stats
-
-    def __repr__(self) -> str:
-        return "<ExplorationResult %d outcomes, %d paths%s, %d violations>" \
-            % (len(self.outcomes), self.paths,
-               "" if self.complete else " (budget hit)",
-               len(self.violations))
-
-
-def _advance_local(vm: VM) -> None:
-    """Eagerly run register-only instructions of every thread.
-
-    Local steps commute with all other threads' actions, so executing
-    them without branching preserves the reachable outcome set while
-    collapsing the search tree (the explorer's partial-order reduction).
-    Each thread's local run is executed to completion before moving to
-    the next thread (rather than one op per thread round-robin) — the
-    commutativity that justifies the reduction also makes the two orders
-    reach the same state at every decision point, and one
-    :meth:`~repro.vm.interp.VM.run_local` call per thread covers a whole
-    run.
-    """
-    progress = True
-    while progress:
-        progress = False
-        for tid in vm.enabled_tids():
-            if vm.run_local(tid, _LOCAL_BURST, with_assert=True):
-                progress = True
 
 
 def _decision_options(vm: VM) -> List[Choice]:
@@ -157,10 +109,9 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     collected separately in ``violations``.
 
     ``model_factory`` overrides how the per-path memory model is built
-    (default: ``make_model(model_name)``).  The differential fuzzing
-    oracles use it to run the explorer against deliberately broken model
-    variants; the factory's models must keep the ``name`` of the model
-    family they mimic, since flush-choice enumeration keys on it.
+    (default: ``make_model(model_name)``).  The factory's models must
+    keep the ``name`` of the model family they mimic, since flush-choice
+    enumeration keys on it.  The result carries no ``stats``.
     """
     if model_factory is None:
         def model_factory():

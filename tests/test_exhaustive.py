@@ -1,7 +1,8 @@
 """Exhaustive-exploration validation of the memory-model semantics.
 
-The stateless DFS explorer enumerates *every* schedule (thread steps and
-flush actions) of bounded litmus programs, so these tests pin down the
+The snapshot DFS explorer enumerates *every* schedule (thread steps and
+flush actions) of bounded litmus programs, up to commuted copies its
+partial-order reduction skips, so these tests pin down the
 exact outcome sets each model admits — a much stronger check than random
 sampling, and a cross-validation of the random scheduler's findings.
 """
@@ -9,7 +10,7 @@ sampling, and a cross-validation of the random scheduler's findings.
 import pytest
 
 from repro.minic import compile_source
-from repro.sched.exhaustive import explore
+from repro.sched.explorer import explore
 
 # Results travel through thread return values (not globals), keeping the
 # schedule tree small enough for exact enumeration.
@@ -132,7 +133,7 @@ class TestExplorerMechanics:
     def test_budget_reported(self):
         module = compile_source(SB)
         result = explore(module, "pso", outcome_fn=thread_results,
-                         max_paths=3)
+                         max_paths=3, reduction="none")
         assert not result.complete
         assert result.paths == 3
 

@@ -1,6 +1,6 @@
 """Differential validation of the snapshot explorer.
 
-The replay-based DFS in :mod:`repro.sched.exhaustive` is the semantic
+The replay-based DFS in ``tests/reference_explorer.py`` is the semantic
 reference; the snapshot engine in :mod:`repro.sched.explorer` must agree
 with it exactly at *every* reduction level:
 
@@ -21,8 +21,8 @@ import pytest
 from repro.fuzz.generator import ProgramGenerator
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.minic import compile_source
-from repro.sched.exhaustive import explore as explore_replay
 from repro.sched.explorer import REDUCTIONS, explore
+from tests.reference_explorer import explore as explore_replay
 
 MODELS = ["sc", "tso", "pso"]
 CORPUS_FILES = sorted(glob.glob(
@@ -93,54 +93,16 @@ def test_budget_truncation_reported():
     assert not result.complete
 
 
-@pytest.mark.parametrize("reduction", REDUCTIONS)
-def test_parallel_matches_serial(reduction):
-    module = LITMUS_TESTS["sb"].compile()
-    serial = explore(module, "tso", outcome_fn=thread_results,
-                     max_paths=60_000, reduction=reduction)
-    parallel = explore(module, "tso", outcome_fn=thread_results,
-                       max_paths=60_000, reduction=reduction, workers=2)
-    assert serial.complete and parallel.complete
-    assert parallel.outcomes == serial.outcomes
-    assert parallel.violations == serial.violations
-    assert parallel.stats.subtrees > 1
-    if reduction != "sleep+cache":  # cache is per-worker, counts differ
-        assert parallel.paths == serial.paths
-
-
-def test_parallel_unpicklable_falls_back_to_serial():
-    from repro.memory.models import make_model
-    module = LITMUS_TESTS["sb"].compile()
-    local_unpicklable = lambda: make_model("tso")  # noqa: E731
-    result = explore(module, "tso", outcome_fn=thread_results,
-                     max_paths=60_000, model_factory=local_unpicklable,
-                     workers=2)
-    assert result.complete
-    assert result.stats.subtrees == 0  # serial fallback took over
-    assert result.outcomes == LITMUS_TESTS["sb"].expected["tso"]
-
-
 def test_stale_replay_branch_raises():
-    """Satellite regression: an out-of-range prefix index used to be
+    """Regression: an out-of-range prefix index used to be
     silently clamped to option 0, corrupting the search invisibly."""
-    from repro.sched.exhaustive import _run_with_prefix
+    from repro.memory.models import make_model
+    from tests.reference_explorer import _run_with_prefix
 
     module = LITMUS_TESTS["sb"].compile()
     with pytest.raises(RuntimeError, match="stale replay branch"):
-        _run_with_prefix(module, lambda: __import__(
-            "repro.memory.models", fromlist=["make_model"]
-        ).make_model("tso"), "main", [99], 2_000, thread_results)
-
-
-def test_stale_subtree_prefix_raises():
-    from repro.memory.models import make_model
-    from repro.sched.explorer import _replay_prefix
-    from repro.vm.interp import VM
-
-    module = LITMUS_TESTS["sb"].compile()
-    vm = VM(module, make_model("tso"), max_steps=2_000)
-    with pytest.raises(RuntimeError, match="stale subtree prefix"):
-        _replay_prefix(vm, [99])
+        _run_with_prefix(module, lambda: make_model("tso"), "main", [99],
+                         2_000, thread_results)
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_skeletons_make_some_programs_racy():
     never runs and the campaign fuzzes only the easy half of the system.
     """
     from repro.fuzz.oracles import thread_results
-    from repro.sched.exhaustive import explore
+    from repro.sched.explorer import explore
 
     gen = ProgramGenerator()
     racy = 0

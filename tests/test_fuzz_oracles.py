@@ -22,7 +22,7 @@ from repro.fuzz.oracles import (
 from repro.litmus import LITMUS_TESTS
 from repro.memory import make_model
 from repro.memory.models import PSOModel, TSOModel
-from repro.sched.exhaustive import explore
+from repro.sched.explorer import explore
 from repro.vm.driver import run_execution
 from repro.sched.flush_random import FlushDelayScheduler
 

@@ -11,7 +11,7 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.oracles import thread_results
 from repro.fuzz.shrink import shrink
-from repro.sched.exhaustive import explore
+from repro.sched.explorer import explore
 
 pytestmark = pytest.mark.fuzz
 

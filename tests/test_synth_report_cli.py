@@ -202,3 +202,21 @@ class TestCliExplore:
     def test_explore_without_input_rejected(self):
         with pytest.raises(SystemExit, match="litmus"):
             cli_main(["--explore"])
+
+    def test_explore_honours_metrics_and_trace(self, tmp_path, capsys):
+        trace = tmp_path / "explore.json"
+        code = cli_main(["sb", "--explore", "--metrics",
+                         "--trace", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "explore/paths" in out
+        assert trace.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sb", "--explore", "--explore-workers", "2"],
+        ["fuzz", "--explore-workers", "2"],
+    ], ids=["repro", "repro-fuzz"])
+    def test_explore_workers_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(argv)
+        assert "--explore-workers" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from repro.memory import make_model
 from repro.minic import compile_source
 from repro.sched import FlushDelayScheduler, RoundRobinScheduler
-from repro.sched.exhaustive import explore
+from repro.sched.explorer import explore
 from repro.vm import VM
 
 
@@ -49,7 +49,7 @@ class TestThreeThreads:
         module = compile_source(self.SRC)
         result = explore(module, "sc",
                          outcome_fn=lambda vm: (vm.threads[0].result,),
-                         max_paths=20_000)
+                         max_paths=20_000, reduction="none")
         assert result.paths >= 1000
         assert result.outcomes == {(3,)}
 
