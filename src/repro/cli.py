@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "--algorithm)")
     parser.add_argument("--algorithm", "-a", choices=sorted(ALGORITHMS),
                         help="run a built-in Table-2 benchmark")
-    parser.add_argument("--model", "-m", default="pso",
+    parser.add_argument("--model", "-m", default=None,
                         choices=["sc", "tso", "pso"],
                         help="memory model (default: pso)")
     parser.add_argument("--spec", "-s", default="memory_safety",
@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explore", action="store_true",
                         help="exhaustively enumerate schedules of a MiniC "
                              "file (or a litmus catalog name) and print "
-                             "the exact outcome set per memory model")
+                             "the exact outcome set under --model, or "
+                             "under each of SC, TSO and PSO without it")
     parser.add_argument("--max-paths", type=int, default=20_000,
                         metavar="N",
                         help="path budget per --explore enumeration "
@@ -264,7 +265,8 @@ def _explore(args) -> int:
 
     recorder = _make_recorder(args) or NULL_RECORDER
     truncated = []
-    for model in ("sc", "tso", "pso"):
+    models = (args.model,) if args.model else ("sc", "tso", "pso")
+    for model in models:
         with recorder.span("explore", model=model):
             result = explore(module, model, outcome_fn=thread_results,
                              max_paths=args.max_paths,
@@ -309,6 +311,8 @@ def _run_command(args) -> int:
     """The parsed command body (separate so --profile can wrap it)."""
     if args.explore:
         return _explore(args)
+    if args.model is None:
+        args.model = "pso"
     if (args.source is None) == (args.algorithm is None):
         raise SystemExit("give exactly one of a MiniC file or --algorithm")
 

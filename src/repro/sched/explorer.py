@@ -23,7 +23,8 @@ On top of the incremental walk it layers two sound reductions:
   reachable state, so outcome and violation sets are preserved exactly.
 * **State caching**.  Distinct interleavings frequently converge on the
   same state (same thread frames, memory, and buffers).  A canonical hash
-  of the state dedupes re-exploration, with the standard sleep-set
+  of the state (each thread's part cached until the thread moves, see
+  :func:`_state_key`) dedupes re-exploration, with the standard sleep-set
   proviso: a cached state only covers a revisit whose sleep set is a
   superset of the one it was first explored with.
 
@@ -142,13 +143,14 @@ def _advance_local(vm: VM) -> None:
     commutativity that justifies the reduction also makes the two orders
     reach the same state at every decision point, and one
     :meth:`~repro.vm.interp.VM.run_local` call per thread covers a whole
-    run.
+    run.  A thread that ran anything loses its cached state key.
     """
     progress = True
     while progress:
         progress = False
         for tid in vm.enabled_tids():
             if vm.run_local(tid, _LOCAL_BURST, with_assert=True):
+                vm.threads[tid].key = None
                 progress = True
 
 
@@ -221,20 +223,39 @@ def _options(vm: VM) -> List[Option]:
 # ----------------------------------------------------------------------
 # State canonicalisation (dedup cache)
 
+def _thread_key(thread) -> Tuple:
+    """Canonical tuple of one thread: ``(tid, status, join_target,
+    result, frames…)`` with each frame's registers sorted by name."""
+    return (thread.tid, thread.status.value, thread.join_target,
+            thread.result,
+            tuple((frame.fn.name, frame.ip, tuple(sorted(frame.regs.items())))
+                  for frame in thread.frames))
+
+
 def _state_key(vm: VM) -> Tuple:
     """Canonical hashable encoding of the full execution state.
 
     Deliberately excludes the step/seq counters so interleavings that
     converge on the same state dedupe (see module caveat on
-    ``max_steps``), and the history (outcome extraction for explored
-    programs depends on globals and thread results only).
+    ``max_steps``), and the history (see :func:`explore` on
+    ``outcome_fn``).
+
+    The thread part is incremental: each thread caches its tuple in
+    ``Thread.key`` and only stale (None) entries are rebuilt.  An edge
+    moves at most one thread, so the explorer drops exactly the keys of
+    the threads it moves — the stepped thread in :meth:`_Search._edge`
+    and every thread :func:`_advance_local` ran.  Flushes touch only
+    memory and buffers; a forked child starts with ``key=None``; clones
+    restored from a snapshot carry their keys.  ``vm.threads`` is in tid
+    order (spawn order, kept by snapshots), so the tuple needs no sort.
     """
-    threads = tuple(
-        (tid, thread.status.value, thread.join_target, thread.result,
-         tuple((frame.fn.name, frame.ip, tuple(sorted(frame.regs.items())))
-               for frame in thread.frames))
-        for tid, thread in sorted(vm.threads.items()))
-    return (threads, vm._next_tid, vm.memory.fingerprint(),
+    keys = []
+    for thread in vm.threads.values():
+        key = thread.key
+        if key is None:
+            key = thread.key = _thread_key(thread)
+        keys.append(key)
+    return (tuple(keys), vm._next_tid, vm.memory.fingerprint(),
             vm.model.fingerprint())
 
 
@@ -326,6 +347,7 @@ class _Search:
         vm = self.vm
         try:
             if choice[0] == "step":
+                vm.threads[choice[1]].key = None
                 vm.step(choice[1])
             else:
                 vm.flush_one(choice[1], choice[2])
@@ -415,6 +437,13 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     to run the explorer against deliberately broken model variants; the
     factory's models must keep the ``name`` of the model family they
     mimic, since flush-choice enumeration keys on it.
+
+    Under ``"sleep+cache"``, ``outcome_fn`` must depend only on globals
+    and thread results.  The state key leaves the operation history out,
+    so two paths that reach the same threads, memory and buffers with
+    different histories share one cache entry: a history-based outcome
+    (such as an SC check of the recorded operations) would see only the
+    first history and can miss a violation.
     """
     if reduction not in REDUCTIONS:
         raise ValueError("unknown reduction %r (expected one of %s)"

@@ -66,9 +66,15 @@ class Frame:
 
 
 class Thread:
-    """A VM thread: a stack of frames plus scheduling status."""
+    """A VM thread: a stack of frames plus scheduling status.
 
-    __slots__ = ("tid", "frames", "status", "join_target", "result")
+    ``key`` caches the thread's canonical tuple for the explorer's state
+    cache (:func:`repro.sched.explorer._state_key`), or is None when
+    stale.  The VM never reads or writes it: the explorer drops it
+    whenever it moves the thread.  Clones carry it, pickles do not.
+    """
+
+    __slots__ = ("tid", "frames", "status", "join_target", "result", "key")
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -76,16 +82,33 @@ class Thread:
         self.status = ThreadStatus.RUNNABLE
         self.join_target: Optional[int] = None
         self.result: Optional[int] = None
+        self.key: Optional[tuple] = None
 
     def clone(self, opmap: Optional[Dict[int, Operation]] = None) -> "Thread":
-        """Deep copy of the thread's execution state (VM snapshots)."""
+        """Deep copy of the thread's execution state (VM snapshots).  The
+        cached key is shared: it describes the copy as well."""
         thread = Thread.__new__(Thread)
         thread.tid = self.tid
         thread.frames = [frame.clone(opmap) for frame in self.frames]
         thread.status = self.status
         thread.join_target = self.join_target
         thread.result = self.result
+        thread.key = self.key
         return thread
+
+    def __getstate__(self):
+        # The key is a cache, not execution state.  The slot-state shape
+        # is the one ``object`` pickles a slotted class with, so a
+        # pickled snapshot's size does not depend on the cache.
+        return None, {"tid": self.tid, "frames": self.frames,
+                      "status": self.status,
+                      "join_target": self.join_target,
+                      "result": self.result}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.key = None
 
     @property
     def top(self) -> Frame:

@@ -184,8 +184,19 @@ class TestCliExplore:
         code = cli_main(["sb", "--explore"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "SC" in out and "TSO" in out and "PSO" in out
+        rows = [line.split()[0] for line in out.splitlines()
+                if "paths," in line]
+        assert rows == ["SC", "TSO", "PSO"]  # no --model: all three
         assert "(0, 0)" in out  # the relaxed outcome appears
+
+    def test_explore_honours_model(self, capsys):
+        code = cli_main(["sb", "--explore", "--model", "tso"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split()[0] for line in out.splitlines()
+                if "paths," in line]
+        assert rows == ["TSO"]
+        assert "(0, 0)" in out
 
     def test_explore_minic_file(self, tmp_path, capsys):
         path = tmp_path / "lit.c"
